@@ -75,16 +75,20 @@ double BenchEventLoopScheduleRun() {
   });
 }
 
-double BenchEventLoopCancel() {
+/// Schedule + cancel of one timer with `depth` other timers pending, their
+/// deadlines spread across the cancelled timer's. Cancel removes the timer
+/// from the heap at once, so the cost grows only with log(depth).
+double BenchEventLoopCancel(int depth) {
   EventLoop loop;
-  double ns = NsPerOp(1024, [&loop]() {
+  for (int i = 0; i < depth; ++i) {
+    loop.ScheduleAfter(1 + (i * 7919) % 2000000, []() { g_sink++; });
+  }
+  return NsPerOp(1024, [&loop]() {
     for (int i = 0; i < 1024; ++i) {
       uint64_t token = loop.ScheduleAfter(1000000, []() {});
       loop.Cancel(token);
     }
   });
-  loop.RunUntilIdle();  // drain tombstones
-  return ns;
 }
 
 double BenchSimUdpRoundtrip() {
@@ -252,7 +256,8 @@ int Run() {
   bench::Title("E3: runtime micro-benchmarks");
   bench::Note("primitive costs (wall-clock; not part of the golden):");
   MicroRow("event loop schedule+run", BenchEventLoopScheduleRun());
-  MicroRow("event loop cancel", BenchEventLoopCancel());
+  MicroRow("event loop cancel", BenchEventLoopCancel(0));
+  MicroRow("event loop cancel (64k pending)", BenchEventLoopCancel(64 * 1024));
   MicroRow("sim UDP roundtrip", BenchSimUdpRoundtrip());
   MicroRow("wire codec roundtrip", BenchWireCodec());
   MicroRow("tuple codec roundtrip", BenchTupleCodec());

@@ -5,14 +5,29 @@
 // loop is driven by the wall clock and an I/O thread posts network events
 // into it. Ties in event time are broken by insertion sequence, which is what
 // makes simulations deterministic.
+//
+// Layout: the queue is an indexed 4-ary min-heap of 24-byte {when, seq, slot}
+// items ordered by (when, seq). The callbacks live in a separate slot array
+// that sift operations never touch; a slot records its item's heap position
+// while the event is pending and links the free list once it is not. `seq` is
+// assigned once per ScheduleAt, so the firing order is exactly the
+// (when, seq) order.
+//
+// Tokens are opaque: `generation << 32 | (slot + 1)`, never 0. A slot's
+// generation is bumped each time it is freed, so a token of an event that
+// already ran or was cancelled no longer matches and Cancel on it is a no-op,
+// even after the slot has been reused by a new event.
+//
+// Cancel removes the event from the heap at once, in O(log n), and destroys
+// its callback. The queue therefore holds only live events: pending() and
+// empty() are exact, and NextEventTime() is a single read of the heap top.
 
 #ifndef PIER_RUNTIME_EVENT_LOOP_H_
 #define PIER_RUNTIME_EVENT_LOOP_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "runtime/vri.h"
@@ -26,7 +41,7 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Schedule `fn` at absolute time `when` (clamped to >= now). Returns a
-  /// cancellation token.
+  /// cancellation token, never 0.
   uint64_t ScheduleAt(TimeUs when, std::function<void()> fn);
 
   /// Schedule `fn` after `delay` from now.
@@ -34,17 +49,18 @@ class EventLoop {
     return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(fn));
   }
 
-  /// Best-effort cancel; a no-op if the event already ran.
+  /// Remove the event from the queue; a no-op if it already ran, was
+  /// cancelled, or the token is unknown.
   void Cancel(uint64_t token);
 
   TimeUs now() const { return now_; }
 
-  bool empty() const { return queue_.size() == cancelled_.size(); }
-  size_t pending() const { return queue_.size() - cancelled_.size(); }
+  bool empty() const { return heap_.empty(); }
+  size_t pending() const { return heap_.size(); }
   uint64_t events_executed() const { return events_executed_; }
 
   /// Time of the earliest pending event, or -1 if none.
-  TimeUs NextEventTime();
+  TimeUs NextEventTime() const { return heap_.empty() ? -1 : heap_[0].when; }
 
   /// Run the earliest event, advancing the clock to it. False if none pending.
   bool RunOne();
@@ -57,19 +73,40 @@ class EventLoop {
   size_t RunUntilIdle(uint64_t max_events = UINT64_MAX);
 
  private:
-  struct Entry {
+  struct Item {
     TimeUs when;
     uint64_t seq;
-    std::function<void()> fn;
+    uint32_t slot;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
+  struct Slot {
+    uint32_t gen = 0;
+    uint32_t link = 0;  // heap index while pending; next free slot otherwise
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  std::unordered_set<uint64_t> cancelled_;
+  static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  static bool Before(const Item& a, const Item& b) {
+    return a.when != b.when ? a.when < b.when : a.seq < b.seq;
+  }
+
+  /// Pop the heap top, free its slot and run its callback.
+  void RunTop();
+  /// Remove the heap item at index `i`, keeping the heap ordered.
+  void RemoveAt(size_t i);
+  /// Bump the slot's generation, return it to the free list and hand back
+  /// its callback (destroyed by the caller once the loop is consistent).
+  std::function<void()> FreeSlot(uint32_t slot);
+  void SiftUp(size_t i, Item item);
+  void SiftDown(size_t i, Item item);
+  void Place(size_t i, const Item& item) {
+    heap_[i] = item;
+    slots_[item.slot].link = static_cast<uint32_t>(i);
+  }
+
+  std::vector<Item> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::function<void()>> fns_;  // indexed by slot
+  uint32_t free_head_ = kNoSlot;
   TimeUs now_ = 0;
   uint64_t next_seq_ = 1;
   uint64_t events_executed_ = 0;

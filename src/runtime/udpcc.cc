@@ -43,23 +43,6 @@ UdpCc::PeerState& UdpCc::Peer(const NetAddress& addr) {
   return it->second;
 }
 
-void UdpCc::ForgetPeer(const NetAddress& peer_addr) {
-  auto it = peers_.find(peer_addr);
-  if (it == peers_.end()) return;
-  PeerState& peer = it->second;
-  for (auto& [seq, pending] : peer.inflight) {
-    (void)seq;
-    if (pending.timer_token != 0) vri_->CancelEvent(pending.timer_token);
-    if (pending.on_delivery) pending.on_delivery(Status::Unavailable("peer forgotten"));
-    stats_.msgs_failed++;
-  }
-  for (auto& pending : peer.queued) {
-    if (pending.on_delivery) pending.on_delivery(Status::Unavailable("peer forgotten"));
-    stats_.msgs_failed++;
-  }
-  peers_.erase(it);
-}
-
 void UdpCc::Send(const NetAddress& destination, std::string payload,
                  DeliveryCallback on_delivery) {
   PeerState& peer = Peer(destination);

@@ -72,9 +72,6 @@ class UdpCc : public UdpHandler {
   uint16_t port() const { return port_; }
   const Stats& stats() const { return stats_; }
 
-  /// Drop all connection state for a peer (used after failure detection).
-  void ForgetPeer(const NetAddress& peer);
-
   // UdpHandler:
   void HandleUdp(const NetAddress& source, std::string_view payload) override;
 

@@ -5,6 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "runtime/event_loop.h"
 #include "runtime/sim_runtime.h"
@@ -76,6 +80,134 @@ TEST(EventLoop, PastEventsClampToNow) {
   loop.RunUntilIdle();
   EXPECT_TRUE(fired);
   EXPECT_EQ(loop.now(), 50) << "clock must never run backwards";
+}
+
+TEST(EventLoop, StaleTokenDoesNotCancelSlotReuser) {
+  EventLoop loop;
+  int ran = 0, cancelled = 0, reuser = 0;
+  uint64_t done = loop.ScheduleAt(5, [&] { ran++; });
+  loop.RunUntilIdle();
+  uint64_t gone = loop.ScheduleAt(6, [&] { cancelled++; });
+  loop.Cancel(gone);
+  // Both freed slots are reused; neither old token may reach the new events.
+  uint64_t a = loop.ScheduleAt(10, [&] { reuser++; });
+  uint64_t b = loop.ScheduleAt(11, [&] { reuser++; });
+  EXPECT_NE(a, 0u);
+  EXPECT_NE(b, 0u);
+  for (uint64_t stale : {done, gone}) {
+    EXPECT_NE(stale, a);
+    EXPECT_NE(stale, b);
+    loop.Cancel(stale);
+  }
+  EXPECT_EQ(loop.pending(), 2u);
+  loop.RunUntilIdle();
+  EXPECT_EQ(ran, 1);
+  EXPECT_EQ(cancelled, 0);
+  EXPECT_EQ(reuser, 2);
+}
+
+TEST(EventLoop, CancelAfterRunKeepsPendingExact) {
+  EventLoop loop;
+  std::vector<uint64_t> tokens;
+  for (int i = 0; i < 8; ++i) tokens.push_back(loop.ScheduleAt(i, [] {}));
+  EXPECT_EQ(loop.RunUntilIdle(), 8u);
+  for (uint64_t t : tokens) loop.Cancel(t);
+  EXPECT_EQ(loop.pending(), 0u);
+  EXPECT_TRUE(loop.empty());
+  EXPECT_EQ(loop.NextEventTime(), -1);
+  loop.ScheduleAt(20, [] {});
+  EXPECT_EQ(loop.pending(), 1u);
+  EXPECT_FALSE(loop.empty());
+}
+
+TEST(EventLoop, HandlerCancelsAndSchedulesAtNow) {
+  EventLoop loop;
+  std::vector<std::string> order;
+  uint64_t self = 0, later = 0;
+  self = loop.ScheduleAt(10, [&] {
+    order.push_back("self");
+    loop.Cancel(self);  // already running: a no-op
+    loop.Cancel(later);
+    loop.ScheduleAt(loop.now(), [&] { order.push_back("at-now"); });
+  });
+  loop.ScheduleAt(10, [&] { order.push_back("queued-tie"); });
+  later = loop.ScheduleAt(30, [&] { order.push_back("later"); });
+  EXPECT_EQ(loop.pending(), 3u);
+  loop.RunOne();
+  EXPECT_EQ(loop.pending(), 2u) << "self-cancel is a no-op; `later` is gone";
+  loop.RunUntilIdle();
+  EXPECT_EQ(order, (std::vector<std::string>{"self", "queued-tie", "at-now"}));
+  EXPECT_EQ(loop.now(), 10);
+}
+
+TEST(EventLoop, DifferentialAgainstOrderedSetModel) {
+  // The reference model: the pending set ordered by (when, seq), with seq
+  // assigned once per schedule. Every op must leave the loop and the model
+  // with the same firing sequence, clock and pending count.
+  EventLoop loop;
+  std::set<std::pair<TimeUs, uint64_t>> model;
+  std::map<uint64_t, TimeUs> model_when;  // seq -> when, pending only
+  TimeUs model_now = 0;
+  uint64_t model_seq = 0;
+  std::vector<uint64_t> fired, model_fired;
+  std::vector<std::pair<uint64_t, uint64_t>> issued;  // (token, seq)
+
+  auto model_pop = [&] {
+    auto [when, seq] = *model.begin();
+    model.erase(model.begin());
+    model_when.erase(seq);
+    if (when > model_now) model_now = when;
+    model_fired.push_back(seq);
+  };
+
+  Rng rng(20240611);
+  for (int op = 0; op < 20000; ++op) {
+    uint64_t kind = rng.Uniform(10);
+    if (kind < 4) {
+      // Near deadlines, far ones (retransmit-timer-like) and some in the
+      // past, so removals from the middle of the heap must sift both ways.
+      TimeUs when = model_now + (rng.Bernoulli(0.5)
+                                     ? rng.UniformRange(-5, 200)
+                                     : rng.UniformRange(0, 100000));
+      uint64_t seq = model_seq++;
+      uint64_t token =
+          loop.ScheduleAt(when, [&fired, seq] { fired.push_back(seq); });
+      ASSERT_NE(token, 0u);
+      if (when < model_now) when = model_now;
+      model.insert({when, seq});
+      model_when[seq] = when;
+      issued.push_back({token, seq});
+    } else if (kind < 7) {
+      if (issued.empty()) continue;
+      auto [token, seq] = issued[rng.Uniform(issued.size())];
+      loop.Cancel(token);
+      auto it = model_when.find(seq);
+      if (it != model_when.end()) {
+        model.erase({it->second, seq});
+        model_when.erase(it);
+      }
+    } else if (kind < 9) {
+      bool ran = loop.RunOne();
+      ASSERT_EQ(ran, !model.empty());
+      if (ran) model_pop();
+    } else {
+      TimeUs t = model_now + rng.UniformRange(0, 100);
+      size_t n = loop.RunUntil(t);
+      size_t model_n = 0;
+      while (!model.empty() && model.begin()->first <= t) {
+        model_pop();
+        ++model_n;
+      }
+      if (t > model_now) model_now = t;
+      ASSERT_EQ(n, model_n);
+    }
+    ASSERT_EQ(fired, model_fired) << "op " << op;
+    ASSERT_EQ(loop.pending(), model.size()) << "op " << op;
+    ASSERT_EQ(loop.empty(), model.empty());
+    ASSERT_EQ(loop.now(), model_now);
+    ASSERT_EQ(loop.NextEventTime(), model.empty() ? -1 : model.begin()->first);
+  }
+  EXPECT_GT(fired.size(), 1000u);
 }
 
 // ---------------------------------------------------------------------------
