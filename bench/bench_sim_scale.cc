@@ -5,14 +5,37 @@
 // run 30 virtual seconds, and report wall-clock time, executed events, and
 // events per wall second. The claim holds if wall time grows roughly
 // linearly in total event count (no super-linear blowup with N).
+//
+// Memory: `peers/node` is the mean number of UdpCC peer-state entries per
+// node at the end of the run, and `peak RSS MB` the process's high-water
+// mark (VmHWM) so far. Rows run in increasing N, so each row's peak is
+// that N's own (earlier, smaller runs stay below it).
+// PIER_BENCH_SMOKE=1 runs only N in {100, 500}.
 
 #include <chrono>
+#include <cstdlib>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "overlay/sim_overlay.h"
 
 namespace pier {
 namespace {
+
+const std::vector<int> kWidths = {8, 10, 12, 16, 14, 12, 12};
+
+double PeakRssMb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // kB -> MB
+    }
+  }
+  return 0;
+}
 
 void Measure(uint32_t n) {
   auto t0 = std::chrono::steady_clock::now();
@@ -39,20 +62,30 @@ void Measure(uint32_t n) {
   auto t1 = std::chrono::steady_clock::now();
   double wall_s = std::chrono::duration<double>(t1 - t0).count();
   uint64_t events = net.loop()->events_executed();
+  uint64_t peers = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    peers += net.dht(i)->router()->transport()->peer_count();
+  }
 
-  std::vector<int> w = {8, 12, 14, 16, 16};
   bench::Row({std::to_string(n), bench::Fmt(wall_s, 2),
               std::to_string(events),
               bench::Fmt(events / wall_s / 1000.0, 0) + "k/s",
-              bench::Fmt(wall_s / 30.0, 3)},
-             w);
+              bench::Fmt(wall_s / 30.0, 3),
+              bench::Fmt(static_cast<double>(peers) / n, 1),
+              bench::Fmt(PeakRssMb(), 1)},
+             kWidths);
 }
 
 void Run() {
   bench::Title("E12: simulator scalability (30 virtual seconds per N)");
-  std::vector<int> w = {8, 12, 14, 16, 16};
-  bench::Row({"N", "wall s", "events", "events/wall-s", "wall-s/sim-s"}, w);
-  for (uint32_t n : {100u, 500u, 1000u, 2000u, 4000u}) Measure(n);
+  bench::Row({"N", "wall s", "events", "events/wall-s", "wall-s/sim-s",
+              "peers/node", "peak RSS MB"},
+             kWidths);
+  const bool smoke = std::getenv("PIER_BENCH_SMOKE") != nullptr;
+  const std::vector<uint32_t> sizes =
+      smoke ? std::vector<uint32_t>{100, 500}
+            : std::vector<uint32_t>{100, 500, 1000, 2000, 4000};
+  for (uint32_t n : sizes) Measure(n);
   bench::Note(
       "expected shape: events grow ~linearly with N (maintenance dominates); "
       "events/wall-second stays in the same order of magnitude, i.e. "

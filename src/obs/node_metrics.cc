@@ -114,6 +114,9 @@ void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport) {
   reg->AddCounterFn("pier_net_bytes_received_total", {},
                     [transport] { return d(transport->stats().bytes_received); },
                     "Deduplicated inbound payload bytes");
+  reg->AddGaugeFn("pier_udpcc_peers", {},
+                  [transport] { return d(transport->peer_count()); },
+                  "UdpCC peer-state entries (addresses sent to or heard from)");
 }
 
 void RegisterReplicationMetrics(MetricsRegistry* reg, ReplicationManager* repl) {

@@ -33,7 +33,8 @@ void RegisterDhtMetrics(MetricsRegistry* reg, Dht* dht);
 /// pier_router_* : routing, lookup and coalescing counters.
 void RegisterRouterMetrics(MetricsRegistry* reg, OverlayRouter* router);
 
-/// pier_net_* : UdpCC delivery, retransmit and byte counters.
+/// pier_net_* : UdpCC delivery, retransmit and byte counters, plus the
+/// pier_udpcc_peers gauge (size of the per-peer state table).
 void RegisterTransportMetrics(MetricsRegistry* reg, UdpCc* transport);
 
 /// pier_repl_* : replica placement/repair counters plus the repair-tick

@@ -11,7 +11,8 @@ namespace {
 constexpr size_t kArity = 4;
 }  // namespace
 
-uint64_t EventLoop::ScheduleAt(TimeUs when, std::function<void()> fn) {
+uint64_t EventLoop::ScheduleAt(TimeUs when, std::function<void()> fn,
+                               uint32_t owner) {
   if (when < now_) when = now_;
   uint32_t slot = free_head_;
   if (slot != kNoSlot) {
@@ -24,7 +25,7 @@ uint64_t EventLoop::ScheduleAt(TimeUs when, std::function<void()> fn) {
     fns_.push_back(std::move(fn));
   }
   heap_.emplace_back();
-  SiftUp(heap_.size() - 1, Item{when, next_seq_++, slot});
+  SiftUp(heap_.size() - 1, Item{when, next_seq_++, slot, owner});
   return (uint64_t{slots_[slot].gen} << 32) | (uint64_t{slot} + 1);
 }
 
@@ -41,6 +42,12 @@ void EventLoop::Cancel(uint64_t token) {
   std::function<void()> fn = FreeSlot(slot);
   // `fn` is destroyed here, after the loop is consistent again: destroying
   // its captures may schedule or cancel other events.
+}
+
+void EventLoop::MuteOwner(uint32_t owner) {
+  if (owner == kNoOwner) return;
+  if (owner >= muted_.size()) muted_.resize(size_t{owner} + 1);
+  muted_[owner] = true;
 }
 
 bool EventLoop::RunOne() {
@@ -76,7 +83,7 @@ void EventLoop::RunTop() {
   std::function<void()> fn = FreeSlot(top.slot);
   if (top.when > now_) now_ = top.when;
   ++events_executed_;
-  fn();
+  if (!Muted(top.owner)) fn();
 }
 
 void EventLoop::RemoveAt(size_t i) {

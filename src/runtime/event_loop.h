@@ -21,6 +21,13 @@
 // Cancel removes the event from the heap at once, in O(log n), and destroys
 // its callback. The queue therefore holds only live events: pending() and
 // empty() are exact, and NextEventTime() is a single read of the heap top.
+//
+// Owners: an event may carry a nonzero owner tag (the simulator tags each
+// virtual node's timers with its node). MuteOwner silences every event of
+// that owner, pending or scheduled later: such an event still fires in its
+// (when, seq) place, advances the clock and counts in events_executed(), but
+// its callback is destroyed without being called. The tag rides in the heap
+// item's padding, so it costs no memory.
 
 #ifndef PIER_RUNTIME_EVENT_LOOP_H_
 #define PIER_RUNTIME_EVENT_LOOP_H_
@@ -40,14 +47,23 @@ class EventLoop {
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
-  /// Schedule `fn` at absolute time `when` (clamped to >= now). Returns a
-  /// cancellation token, never 0.
-  uint64_t ScheduleAt(TimeUs when, std::function<void()> fn);
+  /// Owner tag of an event that belongs to no one; it is never muted.
+  static constexpr uint32_t kNoOwner = 0;
+
+  /// Schedule `fn` at absolute time `when` (clamped to >= now), on behalf of
+  /// `owner`. Returns a cancellation token, never 0.
+  uint64_t ScheduleAt(TimeUs when, std::function<void()> fn,
+                      uint32_t owner = kNoOwner);
 
   /// Schedule `fn` after `delay` from now.
-  uint64_t ScheduleAfter(TimeUs delay, std::function<void()> fn) {
-    return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(fn));
+  uint64_t ScheduleAfter(TimeUs delay, std::function<void()> fn,
+                         uint32_t owner = kNoOwner) {
+    return ScheduleAt(now_ + (delay < 0 ? 0 : delay), std::move(fn), owner);
   }
+
+  /// From now on, the callbacks of `owner`'s events (already pending or
+  /// scheduled later) are dropped instead of run. Irreversible.
+  void MuteOwner(uint32_t owner);
 
   /// Remove the event from the queue; a no-op if it already ran, was
   /// cancelled, or the token is unknown.
@@ -77,13 +93,19 @@ class EventLoop {
     TimeUs when;
     uint64_t seq;
     uint32_t slot;
+    uint32_t owner;  // fills what would be padding
   };
+  static_assert(sizeof(Item) == 24, "heap items stay 24 bytes");
   struct Slot {
     uint32_t gen = 0;
     uint32_t link = 0;  // heap index while pending; next free slot otherwise
   };
 
   static constexpr uint32_t kNoSlot = UINT32_MAX;
+
+  bool Muted(uint32_t owner) const {
+    return owner < muted_.size() && muted_[owner];
+  }
 
   static bool Before(const Item& a, const Item& b) {
     return a.when != b.when ? a.when < b.when : a.seq < b.seq;
@@ -106,6 +128,7 @@ class EventLoop {
   std::vector<Item> heap_;
   std::vector<Slot> slots_;
   std::vector<std::function<void()>> fns_;  // indexed by slot
+  std::vector<bool> muted_;                 // indexed by owner
   uint32_t free_head_ = kNoSlot;
   TimeUs now_ = 0;
   uint64_t next_seq_ = 1;

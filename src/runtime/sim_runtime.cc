@@ -19,12 +19,8 @@ class SimHarness::SimVri : public Vri {
   TimeUs Now() const override { return harness_->loop_.now() + skew_; }
 
   uint64_t ScheduleEvent(TimeUs delay, std::function<void()> cb) override {
-    uint32_t index = index_;
-    SimHarness* h = harness_;
-    return harness_->loop_.ScheduleAfter(
-        delay, [h, index, cb = std::move(cb)]() {
-          if (h->IsAlive(index)) cb();
-        });
+    // FailNode mutes this owner, so a dead node's timers never run.
+    return harness_->loop_.ScheduleAfter(delay, std::move(cb), OwnerOf(index_));
   }
 
   void CancelEvent(uint64_t token) override { harness_->loop_.Cancel(token); }
@@ -115,9 +111,7 @@ uint32_t SimHarness::AddNode() {
     nodes_[index]->program = factory_(nodes_[index]->vri.get(), index);
     if (nodes_[index]->program) {
       SimProgram* prog = nodes_[index]->program.get();
-      loop_.ScheduleAfter(0, [this, index, prog]() {
-        if (IsAlive(index)) prog->Start();
-      });
+      loop_.ScheduleAfter(0, [prog]() { prog->Start(); }, OwnerOf(index));
     }
   }
   return index;
@@ -133,6 +127,7 @@ std::vector<uint32_t> SimHarness::AddNodes(uint32_t n) {
 void SimHarness::FailNode(uint32_t index) {
   if (index >= nodes_.size() || !nodes_[index]->alive) return;
   nodes_[index]->alive = false;
+  loop_.MuteOwner(OwnerOf(index));
   if (nodes_[index]->program) nodes_[index]->program->Stop();
   AbortTcpConnsOf(index);
 }
@@ -161,17 +156,41 @@ void SimHarness::DeliverUdp(uint32_t src, uint16_t src_port, const NetAddress& d
   total_bytes_ += payload.size();
   TimeUs deliver_at =
       congestion_->DeliveryTime(src, dst_index, payload.size(), loop_.now());
-  NetAddress src_addr = AddressOf(src, src_port);
-  uint16_t dst_port = dst.port;
-  loop_.ScheduleAt(deliver_at, [this, src_addr, dst_index, dst_port,
-                                payload = std::move(payload)]() {
-    if (!IsAlive(dst_index)) return;  // message lost to node failure
-    UdpHandler* h = nodes_[dst_index]->vri->udp_handler(dst_port);
-    if (h == nullptr) return;  // no listener: datagram dropped
-    nodes_[dst_index]->stats.msgs_recv++;
-    nodes_[dst_index]->stats.bytes_recv += payload.size();
-    h->HandleUdp(src_addr, payload);
-  });
+  uint32_t slot = free_datagram_;
+  if (slot != kNoDatagram) {
+    free_datagram_ = datagrams_[slot].next_free;
+  } else {
+    PIER_CHECK(datagrams_.size() < kNoDatagram);
+    slot = static_cast<uint32_t>(datagrams_.size());
+    datagrams_.emplace_back();
+  }
+  Datagram& d = datagrams_[slot];
+  d.src = AddressOf(src, src_port);
+  d.dst_index = dst_index;
+  d.dst_port = dst.port;
+  d.payload = std::move(payload);
+  // Not owned by the destination node: the event must run to free the slot
+  // even if that node dies first.
+  loop_.ScheduleAt(deliver_at, [this, slot]() { ArriveUdp(slot); });
+}
+
+void SimHarness::ArriveUdp(uint32_t slot) {
+  // Move everything out and free the slot before any handler runs: the
+  // handler may send, and a send may grow (reallocate) the slab.
+  Datagram& d = datagrams_[slot];
+  const NetAddress src_addr = d.src;
+  const uint32_t dst_index = d.dst_index;
+  const uint16_t dst_port = d.dst_port;
+  std::string payload = std::move(d.payload);
+  d.next_free = free_datagram_;
+  free_datagram_ = slot;
+
+  if (!IsAlive(dst_index)) return;  // message lost to node failure
+  UdpHandler* h = nodes_[dst_index]->vri->udp_handler(dst_port);
+  if (h == nullptr) return;  // no listener: datagram dropped
+  nodes_[dst_index]->stats.msgs_recv++;
+  nodes_[dst_index]->stats.bytes_recv += payload.size();
+  h->HandleUdp(src_addr, payload);
 }
 
 Result<uint64_t> SimHarness::TcpConnect(uint32_t src, const NetAddress& dst,

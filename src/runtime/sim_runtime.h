@@ -10,11 +10,19 @@
 // The simulator delivers all messages (no loss model, matching the paper) but
 // supports complete node failures: timers of dead nodes never fire and
 // messages to/from them are dropped.
+//
+// Per-event cost: a node's timers go into the EventLoop with the node as
+// owner tag, and FailNode mutes that owner, so no timer is wrapped in a
+// liveness-checking closure. A datagram in flight waits in a free-listed
+// slab; its delivery event captures only {harness, slot}, which fits
+// std::function's inline buffer, so sending allocates no closure.
 
 #ifndef PIER_RUNTIME_SIM_RUNTIME_H_
 #define PIER_RUNTIME_SIM_RUNTIME_H_
 
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -122,8 +130,25 @@ class SimHarness {
     TimeUs b_to_a_clear = 0;
   };
 
+  /// A datagram between send and delivery; `next_free` links free slots.
+  struct Datagram {
+    NetAddress src;
+    uint32_t dst_index = 0;
+    uint16_t dst_port = 0;
+    uint32_t next_free = 0;
+    std::string payload;
+  };
+
+  static constexpr uint32_t kNoDatagram = UINT32_MAX;
+
+  /// EventLoop owner tag of node `index`'s timers (0 means no owner).
+  static uint32_t OwnerOf(uint32_t index) { return index + 1; }
+
   void DeliverUdp(uint32_t src, uint16_t src_port, const NetAddress& dst,
                   std::string payload);
+  /// Delivery event of the datagram in `slot`: frees the slot, then hands
+  /// the payload to the destination's handler if the node is alive.
+  void ArriveUdp(uint32_t slot);
   Result<uint64_t> TcpConnect(uint32_t src, const NetAddress& dst, TcpHandler* h);
   Status TcpWrite(uint32_t src, uint64_t conn_id, std::string data);
   void TcpClose(uint32_t src, uint64_t conn_id);
@@ -136,6 +161,8 @@ class SimHarness {
   std::unique_ptr<CongestionModel> congestion_;
   ProgramFactory factory_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<Datagram> datagrams_;  // slab of in-flight datagrams
+  uint32_t free_datagram_ = kNoDatagram;
   std::unordered_map<uint64_t, TcpConn> tcp_conns_;
   uint64_t next_tcp_conn_id_ = 1;
   uint64_t total_msgs_ = 0;

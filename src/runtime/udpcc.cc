@@ -32,15 +32,14 @@ UdpCc::~UdpCc() {
 }
 
 UdpCc::PeerState& UdpCc::Peer(const NetAddress& addr) {
-  auto it = peers_.find(addr);
-  if (it == peers_.end()) {
-    PeerState st;
+  auto [it, inserted] = peers_.try_emplace(addr);
+  PeerState& st = it->second;
+  if (inserted) {
     st.cwnd = options_.initial_cwnd;
     st.ssthresh = options_.max_cwnd;
     st.rto = options_.initial_rto;
-    it = peers_.emplace(addr, std::move(st)).first;
   }
-  return it->second;
+  return st;
 }
 
 void UdpCc::Send(const NetAddress& destination, std::string payload,
@@ -53,7 +52,7 @@ void UdpCc::Send(const NetAddress& destination, std::string payload,
   if (peer.inflight.size() < static_cast<size_t>(peer.cwnd)) {
     Transmit(destination, peer, std::move(msg));
   } else {
-    peer.queued.push_back(std::move(msg));
+    peer.GetOverflow().queued.push_back(std::move(msg));
   }
 }
 
@@ -70,8 +69,6 @@ void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
   } else {
     stats_.retransmits++;
   }
-  msg.last_sent = now;
-  uint64_t seq = msg.seq;
   Status s = vri_->UdpSend(port_, dst, std::move(w).data());
   if (!s.ok()) {
     if (msg.on_delivery) msg.on_delivery(s);
@@ -80,12 +77,13 @@ void UdpCc::Transmit(const NetAddress& dst, PeerState& peer, Pending msg) {
   }
   TimeUs rto = std::min(options_.max_rto,
                         static_cast<TimeUs>(peer.rto << std::min(msg.retries, 6)));
-  peer.inflight[seq] = std::move(msg);
-  ArmTimer(dst, seq, rto);
+  uint64_t seq = msg.seq;
+  Pending& stored = peer.inflight.emplace(seq, std::move(msg)).first->second;
+  ArmTimer(dst, stored, rto);
 }
 
-void UdpCc::ArmTimer(const NetAddress& dst, uint64_t seq, TimeUs rto) {
-  auto& pending = Peer(dst).inflight[seq];
+void UdpCc::ArmTimer(const NetAddress& dst, Pending& pending, TimeUs rto) {
+  uint64_t seq = pending.seq;
   pending.timer_token =
       vri_->ScheduleEvent(rto, [this, dst, seq]() { OnTimeout(dst, seq); });
 }
@@ -124,12 +122,19 @@ void UdpCc::HandleUdp(const NetAddress& source, std::string_view payload) {
 
 bool UdpCc::AlreadySeen(PeerState& peer, uint64_t seq) {
   if (seq <= peer.contiguous_seen) return true;
-  if (!peer.seen_above.insert(seq).second) return true;
-  // Advance the contiguous horizon.
-  while (!peer.seen_above.empty() &&
-         *peer.seen_above.begin() == peer.contiguous_seen + 1) {
-    peer.contiguous_seen++;
-    peer.seen_above.erase(peer.seen_above.begin());
+  if (seq > peer.contiguous_seen + 1) {
+    // Out of order: remember it above the horizon.
+    return !peer.GetOverflow().seen_above.insert(seq).second;
+  }
+  // In order. seen_above never holds contiguous_seen + 1, so `seq` is new;
+  // advance the horizon, then over any out-of-order seqs it now reaches.
+  peer.contiguous_seen = seq;
+  if (peer.overflow) {
+    std::set<uint64_t>& above = peer.overflow->seen_above;
+    while (!above.empty() && *above.begin() == peer.contiguous_seen + 1) {
+      peer.contiguous_seen++;
+      above.erase(above.begin());
+    }
   }
   return false;
 }
@@ -168,11 +173,10 @@ void UdpCc::OnAck(const NetAddress& src, uint64_t seq) {
   peer.cwnd = std::min(peer.cwnd, options_.max_cwnd);
 
   stats_.msgs_delivered++;
+  // The callback may send more messages and rehash `peers_`; `peer` stays
+  // valid (see the header comment).
   if (pending.on_delivery) pending.on_delivery(Status::Ok());
-  // The callback may have sent more messages and rehashed `peers_`;
-  // re-resolve before draining.
-  auto pit2 = peers_.find(src);
-  if (pit2 != peers_.end()) MaybeDrainQueue(src, pit2->second);
+  MaybeDrainQueue(src, peer);
 }
 
 void UdpCc::OnTimeout(NetAddress dst, uint64_t seq) {
@@ -194,18 +198,19 @@ void UdpCc::OnTimeout(NetAddress dst, uint64_t seq) {
     stats_.msgs_failed++;
     if (pending.on_delivery)
       pending.on_delivery(Status::Unavailable("udpcc: delivery failed"));
-    auto pit2 = peers_.find(dst);
-    if (pit2 != peers_.end()) MaybeDrainQueue(dst, pit2->second);
+    MaybeDrainQueue(dst, peer);
     return;
   }
   Transmit(dst, peer, std::move(pending));
 }
 
 void UdpCc::MaybeDrainQueue(const NetAddress& dst, PeerState& peer) {
-  while (!peer.queued.empty() &&
+  if (!peer.overflow) return;  // nothing was ever queued
+  std::deque<Pending>& queued = peer.overflow->queued;
+  while (!queued.empty() &&
          peer.inflight.size() < static_cast<size_t>(peer.cwnd)) {
-    Pending msg = std::move(peer.queued.front());
-    peer.queued.pop_front();
+    Pending msg = std::move(queued.front());
+    queued.pop_front();
     Transmit(dst, peer, std::move(msg));
   }
 }

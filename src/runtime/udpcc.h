@@ -8,6 +8,24 @@
 //     backoff on timeout),
 //   * NO in-order delivery guarantee — receivers deduplicate but do not
 //     resequence, and PIER's operators are written to tolerate reordering.
+//
+// Per-peer layout. Every node keeps one PeerState per address it has sent
+// to or heard from, so the table grows with the number of peers and its
+// entry size is the simulator's memory cost per (node, peer) pair. Inline
+// are the sender scalars (next seq, cwnd, ssthresh, RTT estimate, RTO), the
+// receiver's `contiguous_seen` horizon and the `inflight` map, which is
+// empty (and allocation-free) when idle. Two rarely used structures live in
+// one `Overflow` block allocated on first use: the FIFO of messages waiting
+// beyond cwnd, and the set of seqs seen out of order above the horizon. An
+// in-order arrival only advances `contiguous_seen`; a peer that never
+// exceeds its window and never sees a reordered frame never allocates one.
+// Once allocated, an Overflow block lives as long as its peer.
+//
+// Reference stability. `peers_` is an unordered_map, whose element
+// references survive rehashing, and no entry is erased before ~UdpCc. So a
+// PeerState& taken at the start of Send/OnAck/OnTimeout stays valid across
+// the delivery callbacks they run, even when those callbacks Send to new
+// peers; each UdpCc event looks its peer up once.
 
 #ifndef PIER_RUNTIME_UDPCC_H_
 #define PIER_RUNTIME_UDPCC_H_
@@ -16,6 +34,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -71,6 +90,8 @@ class UdpCc : public UdpHandler {
 
   uint16_t port() const { return port_; }
   const Stats& stats() const { return stats_; }
+  /// Number of peer entries (addresses sent to or heard from); never shrinks.
+  size_t peer_count() const { return peers_.size(); }
 
   // UdpHandler:
   void HandleUdp(const NetAddress& source, std::string_view payload) override;
@@ -83,28 +104,37 @@ class UdpCc : public UdpHandler {
     int retries = 0;
     uint64_t timer_token = 0;
     TimeUs first_sent = 0;
-    TimeUs last_sent = 0;
+  };
+
+  /// Lazily allocated per-peer state (see the header comment).
+  struct Overflow {
+    std::deque<Pending> queued;      // sender: beyond cwnd, FIFO
+    std::set<uint64_t> seen_above;   // receiver: seqs > contiguous_seen + 1
   };
 
   struct PeerState {
     // Sender side.
     uint64_t next_seq = 1;
-    double cwnd;
-    double ssthresh;
+    double cwnd = 0;
+    double ssthresh = 0;
     TimeUs srtt = 0;      // 0 = no sample yet
     TimeUs rttvar = 0;
-    TimeUs rto;
+    TimeUs rto = 0;
     std::map<uint64_t, Pending> inflight;
-    std::deque<Pending> queued;
-    // Receiver side dedup: all seqs <= contiguous_seen delivered, plus the
-    // sparse set of higher seqs seen out of order.
+    // Receiver side dedup: all seqs <= contiguous_seen delivered, plus
+    // overflow->seen_above, the sparse set of higher seqs seen out of order.
     uint64_t contiguous_seen = 0;
-    std::set<uint64_t> seen_above;
+    std::unique_ptr<Overflow> overflow;  // null until first needed
+
+    Overflow& GetOverflow() {
+      if (!overflow) overflow = std::make_unique<Overflow>();
+      return *overflow;
+    }
   };
 
   PeerState& Peer(const NetAddress& addr);
   void Transmit(const NetAddress& dst, PeerState& peer, Pending msg);
-  void ArmTimer(const NetAddress& dst, uint64_t seq, TimeUs rto);
+  void ArmTimer(const NetAddress& dst, Pending& pending, TimeUs rto);
   void OnAck(const NetAddress& src, uint64_t seq);
   void OnTimeout(NetAddress dst, uint64_t seq);
   void MaybeDrainQueue(const NetAddress& dst, PeerState& peer);

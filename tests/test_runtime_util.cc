@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -138,6 +139,25 @@ TEST(EventLoop, HandlerCancelsAndSchedulesAtNow) {
   loop.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<std::string>{"self", "queued-tie", "at-now"}));
   EXPECT_EQ(loop.now(), 10);
+}
+
+TEST(EventLoop, MutedOwnerFiresInPlaceWithoutRunning) {
+  EventLoop loop;
+  std::vector<int> order;
+  auto held = std::make_shared<int>(0);
+  loop.ScheduleAt(10, [&] { order.push_back(1); }, /*owner=*/1);
+  loop.ScheduleAt(10, [&, held] { order.push_back(2); }, /*owner=*/2);
+  loop.ScheduleAt(10, [&] { order.push_back(3); });
+  loop.MuteOwner(2);
+  // Scheduled after the mute: muted too.
+  loop.ScheduleAt(20, [&] { order.push_back(4); }, /*owner=*/2);
+  loop.MuteOwner(EventLoop::kNoOwner);  // a no-op
+  EXPECT_EQ(held.use_count(), 2);
+  EXPECT_EQ(loop.RunUntilIdle(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(loop.events_executed(), 4u) << "muted events still count";
+  EXPECT_EQ(loop.now(), 20) << "and still advance the clock";
+  EXPECT_EQ(held.use_count(), 1) << "a muted callback is destroyed, not leaked";
 }
 
 TEST(EventLoop, DifferentialAgainstOrderedSetModel) {
@@ -495,6 +515,138 @@ TEST(UdpCc, SenderNotifiedWhenPeerIsDead) {
   EXPECT_TRUE(called);
   EXPECT_FALSE(failure.ok()) << "reliable-or-notify contract (§3.1.3)";
   EXPECT_GT(a.stats().retransmits, 0u);
+}
+
+// A raw UdpHandler that plays the sending side of UdpCC by hand: it emits
+// hand-built kData frames (type 0, u64 seq, body) and records the seq of
+// every kAck (type 1) that comes back.
+struct RawSender : UdpHandler {
+  std::vector<uint64_t> acks;
+  void HandleUdp(const NetAddress&, std::string_view p) override {
+    WireReader r(p);
+    uint8_t type = 0;
+    uint64_t seq = 0;
+    ASSERT_TRUE(r.GetU8(&type).ok());
+    ASSERT_TRUE(r.GetU64(&seq).ok());
+    ASSERT_EQ(type, 1) << "only acks flow back to the sender";
+    acks.push_back(seq);
+  }
+};
+
+std::string DataFrame(uint64_t seq) {
+  WireWriter w;
+  w.PutU8(0);
+  w.PutU64(seq);
+  w.PutRaw("b" + std::to_string(seq));
+  return std::move(w).data();
+}
+
+TEST(UdpCc, ReceiverDeliversEachSeqOnceAndAcksEveryFrame) {
+  SimOptions opts;
+  opts.seed = 13;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc rx(sim.vri(1), 5000);
+  std::vector<std::string> bodies;
+  rx.set_message_handler([&](const NetAddress& src, std::string_view p) {
+    EXPECT_EQ(src, sim.AddressOf(0, 5000));
+    bodies.emplace_back(p);
+  });
+  RawSender tx;
+  ASSERT_TRUE(sim.vri(0)->UdpListen(5000, &tx).ok());
+
+  // One frame at a time, so arrival order is exactly the order below.
+  const std::vector<uint64_t> frames = {
+      3, 1, 2,  // out of order: 3 waits above the horizon until 1, 2 arrive
+      4,        // in order at the horizon
+      1, 4,     // duplicates below the horizon
+      6, 6,     // a gap, then a duplicate above the horizon
+      5,        // closes the gap; the horizon jumps over 6
+      5, 6,     // duplicates below the horizon again
+      7};
+  for (uint64_t seq : frames) {
+    ASSERT_TRUE(
+        sim.vri(0)->UdpSend(5000, sim.AddressOf(1, 5000), DataFrame(seq)).ok());
+    sim.loop()->RunUntilIdle();
+  }
+
+  EXPECT_EQ(bodies, (std::vector<std::string>{"b3", "b1", "b2", "b4", "b6",
+                                              "b5", "b7"}));
+  EXPECT_EQ(tx.acks, frames) << "every frame is acked, duplicates included";
+  EXPECT_EQ(rx.stats().msgs_received, 7u);
+  EXPECT_EQ(rx.stats().duplicates_dropped, 5u);
+  EXPECT_EQ(rx.stats().bytes_received, 7u * 2);
+  EXPECT_EQ(rx.peer_count(), 1u);
+}
+
+TEST(UdpCc, BurstBeyondWindowDrainsFifo) {
+  SimOptions opts;
+  opts.seed = 14;
+  SimHarness sim(opts);
+  sim.AddNodes(2);
+  UdpCc::Options small_window;
+  small_window.initial_cwnd = 4;
+  UdpCc a(sim.vri(0), 5000, small_window);
+  UdpCc b(sim.vri(1), 5000);
+  std::vector<std::string> received;
+  b.set_message_handler([&](const NetAddress&, std::string_view p) {
+    received.emplace_back(p);
+  });
+  std::vector<int> acked;
+  std::vector<std::string> sent;
+  for (int i = 0; i < 20; ++i) {
+    sent.push_back("m" + std::to_string(i));
+    a.Send(sim.AddressOf(1, 5000), sent.back(), [&acked, i](const Status& s) {
+      EXPECT_TRUE(s.ok());
+      acked.push_back(i);
+    });
+  }
+  EXPECT_EQ(a.stats().msgs_sent, 4u) << "16 wait beyond the window";
+  sim.RunFor(5 * kSecond);
+  EXPECT_EQ(received, sent) << "the queue beyond cwnd drains in FIFO order";
+  ASSERT_EQ(acked.size(), 20u);
+  for (int i = 0; i < 20; ++i) EXPECT_EQ(acked[i], i);
+  EXPECT_EQ(a.stats().msgs_sent, 20u);
+  EXPECT_EQ(a.stats().retransmits, 0u);
+  EXPECT_EQ(b.stats().duplicates_dropped, 0u);
+  EXPECT_EQ(a.peer_count(), 1u);
+}
+
+TEST(SimHarness, DeadNodeTimersAndInFlightDatagramsAreDropped) {
+  SimOptions opts;
+  opts.seed = 15;
+  SimHarness sim(opts);
+  sim.AddNodes(3);
+  std::vector<std::string> fired;
+  auto timer = [&](uint32_t node, const std::string& name) {
+    (void)sim.vri(node)->ScheduleEvent(
+        10 * kMillisecond, [&fired, name] { fired.push_back(name); });
+  };
+  // Same-instant timers, interleaved across a live and a dying node.
+  timer(0, "a1");
+  timer(2, "dead1");
+  timer(1, "b1");
+  timer(0, "a2");
+  Capture to_dead;
+  Capture to_live;
+  ASSERT_TRUE(sim.vri(2)->UdpListen(9, &to_dead).ok());
+  ASSERT_TRUE(sim.vri(1)->UdpListen(9, &to_live).ok());
+  ASSERT_TRUE(sim.vri(0)->UdpSend(9, sim.AddressOf(2, 9), "in flight").ok());
+  ASSERT_TRUE(sim.vri(0)->UdpSend(9, sim.AddressOf(1, 9), "arrives").ok());
+
+  const uint64_t before = sim.loop()->events_executed();
+  sim.FailNode(2);
+  timer(2, "dead2");  // scheduled after the failure: never runs either
+  sim.loop()->RunUntilIdle();
+
+  EXPECT_EQ(fired, (std::vector<std::string>{"a1", "b1", "a2"}))
+      << "live nodes keep (when, seq) order; the dead node's timers are muted";
+  EXPECT_TRUE(to_dead.got.empty());
+  ASSERT_EQ(to_live.got.size(), 1u);
+  EXPECT_EQ(to_live.got[0].second, "arrives");
+  // 5 timers (2 muted) + 2 deliveries (1 dropped): muted events still count.
+  EXPECT_EQ(sim.loop()->events_executed() - before, 7u);
+  EXPECT_TRUE(sim.loop()->empty());
 }
 
 TEST(SimHarness, ClockSkewBoundsHold) {
