@@ -108,7 +108,7 @@ void Run() {
     std::vector<uint64_t> subs;
     for (uint32_t i = 0; i < kNodes; ++i) {
       subs.push_back(net.dht(i)->OnNewData(
-          "mb3", [arrivals, &net](const ObjectName&, std::string_view) {
+          "mb3", [arrivals, &net](ObjectNameView, std::string_view) {
             arrivals->push_back(net.loop()->now());
           }));
     }

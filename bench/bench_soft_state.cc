@@ -6,6 +6,14 @@
 // renew fails, the publisher re-puts) at the cost of more renewal traffic.
 // We sweep the renewal period and report availability (fraction of sampled
 // gets that find the object) and publisher operations.
+//
+// PIER_BENCH_JSON=<path> additionally writes the table as JSON. It is
+// virtual-time deterministic, and CI diffs it against the committed
+// BENCH_soft_state.json: it pins the renew and expiry semantics of the
+// soft-state store.
+
+#include <cstdio>
+#include <cstdlib>
 
 #include "bench/bench_common.h"
 #include "overlay/sim_overlay.h"
@@ -86,7 +94,7 @@ Outcome Measure(TimeUs renew_period, uint64_t seed) {
   return out;
 }
 
-void Run() {
+int Run() {
   bench::Title("E9: soft state — renewal period vs availability and cost");
   bench::Note("objects=" + std::to_string(kObjects) + " lifetime=" +
               std::to_string(kLifetime / kSecond) + "s run=" +
@@ -98,25 +106,54 @@ void Run() {
     const char* name;
     TimeUs period;
   };
-  for (const Case& c : {Case{"L/4 (5s)", kLifetime / 4},
+  const Case cases[] = {Case{"L/4 (5s)", kLifetime / 4},
                         Case{"L/2 (10s)", kLifetime / 2},
                         Case{"0.9L (18s)", kLifetime * 9 / 10},
-                        Case{"none", 0}}) {
+                        Case{"none", 0}};
+  std::vector<Outcome> outcomes;
+  for (const Case& c : cases) {
     Outcome o = Measure(c.period, 211);
     bench::Row({c.name, bench::Fmt(100 * o.availability),
                 std::to_string(o.publisher_ops)},
                w);
+    outcomes.push_back(o);
   }
   bench::Note(
       "expected shape: availability falls as renewals become rarer (failures "
       "and expiry go unrepaired longer); publisher cost falls with it. With "
       "no renewal, everything expires after L and availability collapses.");
+
+  if (const char* path = std::getenv("PIER_BENCH_JSON")) {
+    std::FILE* f = std::fopen(path, "w");
+    if (!f) {
+      std::fprintf(stderr, "FAIL: cannot write %s\n", path);
+      return 1;
+    }
+    std::fprintf(f, "{\n  \"bench\": \"soft_state\",\n");
+    std::fprintf(f,
+                 "  \"nodes\": %u, \"objects\": %d, \"lifetime_s\": %lld, "
+                 "\"run_s\": %lld, \"fail_every_s\": %lld,\n",
+                 kNodes, kObjects, static_cast<long long>(kLifetime / kSecond),
+                 static_cast<long long>(kRunTime / kSecond),
+                 static_cast<long long>(kFailEvery / kSecond));
+    std::fprintf(f, "  \"cases\": [\n");
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      std::fprintf(f,
+                   "    {\"renew_period\": \"%s\", \"renew_period_ms\": %lld, "
+                   "\"availability_pct\": %.4f, \"publisher_ops\": %llu}%s\n",
+                   cases[i].name,
+                   static_cast<long long>(cases[i].period / kMillisecond),
+                   100 * outcomes[i].availability,
+                   static_cast<unsigned long long>(outcomes[i].publisher_ops),
+                   i + 1 < outcomes.size() ? "," : "");
+    }
+    std::fprintf(f, "  ]\n}\n");
+    std::fclose(f);
+  }
+  return 0;
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
-  pier::Run();
-  return 0;
-}
+int main() { return pier::Run(); }

@@ -28,7 +28,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -194,8 +193,9 @@ class MetricsRegistry {
   struct Family {
     MetricKind kind = MetricKind::kCounter;
     std::string help;
-    /// deque: growth never moves existing Series (stable instrument ptrs).
-    std::deque<Series> series;
+    /// Each Series owns its instrument through a unique_ptr, so growth
+    /// never moves an instrument handed out.
+    std::vector<Series> series;
   };
 
   Series* FindOrCreate(const std::string& name, MetricKind kind,

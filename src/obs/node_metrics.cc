@@ -54,6 +54,14 @@ void RegisterDhtMetrics(MetricsRegistry* reg, Dht* dht) {
   reg->AddCounterFn("pier_dht_read_repairs_total", {},
                     [dht] { return d(dht->stats().read_repairs); },
                     "Owner copies refreshed from a replica after a get");
+  reg->AddGaugeFn("pier_dht_objects", {},
+                  [dht] { return d(dht->objects()->TotalObjects()); },
+                  "Soft-state objects stored at this node, expired ones not "
+                  "yet dropped included");
+  reg->AddGaugeFn("pier_dht_object_bytes", {},
+                  [dht] { return d(dht->objects()->TotalBytes()); },
+                  "Bytes held in this node's object blocks (fixed fields, "
+                  "suffix and value)");
 }
 
 void RegisterRouterMetrics(MetricsRegistry* reg, OverlayRouter* router) {

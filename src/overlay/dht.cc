@@ -25,24 +25,37 @@ Dht::Dht(Vri* vri, Options options) : vri_(vri), options_(options) {
                                                objects_.get(), ropts);
   repl_->set_primary_store_hook([this]() { stats_.store_requests++; });
 
-  objects_->set_insert_hook([this](const ObjectManager::Object& obj) {
-    auto it = subs_by_ns_.find(obj.name.ns);
+  objects_->set_insert_hook([this](ObjectNameView name,
+                                   const ObjectManager::Object& obj) {
+    auto it = subs_by_ns_.find(name.ns);
     if (it == subs_by_ns_.end()) return;
     // Copy: handlers may (un)subscribe while we iterate.
     std::vector<uint64_t> tokens = it->second;
+    NewDataEvent event{name, obj.value()};
+    // The event aliases the store, and a handler may overwrite or remove the
+    // object it was handed; with several subscribers, all of them read one
+    // owned copy instead.
+    bool owned = false;
+    ObjectName owned_name;
+    std::string owned_value;
     for (uint64_t token : tokens) {
       auto sit = subs_.find(token);
       if (sit == subs_.end()) continue;
+      // During a put-batch store loop, batch subscriptions get ONE grouped
+      // delivery afterwards; outside it, a single insert is a one-element
+      // batch.
+      if (sit->second.batch_handler && collecting_batch_) continue;
+      if (tokens.size() > 1 && !owned) {
+        owned = true;
+        owned_name = name.ToName();
+        owned_value = std::string(obj.value());
+        event = NewDataEvent{owned_name, owned_value};
+      }
       if (sit->second.batch_handler) {
-        // During a put-batch store loop, batch subscriptions get ONE grouped
-        // delivery afterwards; outside it, a single insert is a one-element
-        // batch.
-        if (collecting_batch_) continue;
-        std::vector<NewDataEvent> one{
-            NewDataEvent{obj.name, std::string_view(obj.value)}};
+        std::vector<NewDataEvent> one{event};
         sit->second.batch_handler(one);
       } else {
-        sit->second.handler(obj.name, obj.value);
+        sit->second.handler(event.name, event.value);
       }
     }
   });
@@ -88,7 +101,7 @@ Dht::~Dht() {
 // Wire helpers
 // ---------------------------------------------------------------------------
 
-void Dht::EncodeObjectTo(WireWriter* w, const ObjectName& name, TimeUs lifetime,
+void Dht::EncodeObjectTo(WireWriter* w, ObjectNameView name, TimeUs lifetime,
                          std::string_view value) {
   w->PutBytes(name.ns);
   w->PutBytes(name.key);
@@ -97,7 +110,7 @@ void Dht::EncodeObjectTo(WireWriter* w, const ObjectName& name, TimeUs lifetime,
   w->PutBytes(value);
 }
 
-std::string Dht::EncodeObject(const ObjectName& name, TimeUs lifetime,
+std::string Dht::EncodeObject(ObjectNameView name, TimeUs lifetime,
                               std::string_view value) {
   WireWriter w;
   EncodeObjectTo(&w, name, lifetime, value);
@@ -128,15 +141,10 @@ Result<Dht::WireObject> Dht::DecodeObject(std::string_view wire) {
   return obj;
 }
 
-void Dht::StoreObject(ObjectName name, std::string value, TimeUs lifetime) {
-  stats_.store_requests++;
-  objects_->Put(std::move(name), std::move(value), EffectiveLifetime(lifetime));
-}
-
 void Dht::StoreFromView(const WireObjectView& v) {
-  StoreObject(ObjectName{std::string(v.ns), std::string(v.key),
-                         std::string(v.suffix)},
-              std::string(v.value), v.lifetime);
+  stats_.store_requests++;
+  objects_->Put(ObjectNameView{v.ns, v.key, v.suffix}, v.value,
+                EffectiveLifetime(v.lifetime));
 }
 
 // ---------------------------------------------------------------------------
@@ -246,9 +254,7 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
   auto batch = std::make_shared<std::vector<DhtPutItem>>(std::move(items));
   std::map<Id, std::vector<size_t>> by_id;
   for (size_t i = 0; i < batch->size(); ++i) {
-    by_id[ObjectName{(*batch)[i].ns, (*batch)[i].key, (*batch)[i].suffix}
-              .routing_id()]
-        .push_back(i);
+    by_id[RoutingId((*batch)[i].ns, (*batch)[i].key)].push_back(i);
   }
 
   // The batch's replica fan-out width: per-item factors resolve against the
@@ -333,7 +339,7 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
           for (size_t j = start; j < start + n; ++j) {
             const DhtPutItem& it = (*batch)[indices[j]];
             ReplicationManager::EncodeReplicaObject(
-                &w, ObjectName{it.ns, it.key, it.suffix},
+                &w, ObjectNameView{it.ns, it.key, it.suffix},
                 EffectiveLifetime(it.lifetime), 0,
                 static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
                 it.value);
@@ -364,7 +370,7 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
             for (size_t idx : rep_items) {
               const DhtPutItem& it = (*batch)[idx];
               ReplicationManager::EncodeReplicaObject(
-                  &rw, ObjectName{it.ns, it.key, it.suffix},
+                  &rw, ObjectNameView{it.ns, it.key, it.suffix},
                   EffectiveLifetime(it.lifetime), 0,
                   static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
                   it.value);
@@ -377,14 +383,14 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
           // Singleton group: the plain put frame, byte-identical to Put().
           const DhtPutItem& it = (*batch)[indices[start]];
           w = OverlayRouter::FrameMessage(kMsgPut);
-          EncodeObjectTo(&w, ObjectName{it.ns, it.key, it.suffix}, it.lifetime,
-                         it.value);
+          EncodeObjectTo(&w, ObjectNameView{it.ns, it.key, it.suffix},
+                         it.lifetime, it.value);
         } else {
           w = OverlayRouter::FrameMessage(kMsgPutBatch);
           w.PutVarint(n);
           for (size_t j = start; j < start + n; ++j) {
             const DhtPutItem& it = (*batch)[indices[j]];
-            EncodeObjectTo(&w, ObjectName{it.ns, it.key, it.suffix},
+            EncodeObjectTo(&w, ObjectNameView{it.ns, it.key, it.suffix},
                            it.lifetime, it.value);
           }
           stats_.batched_puts += n;
@@ -439,7 +445,7 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
 void Dht::Send(const std::string& ns, const std::string& key,
                const std::string& suffix, std::string value, TimeUs lifetime) {
   stats_.sends++;
-  ObjectName name{ns, key, suffix};
+  ObjectNameView name{ns, key, suffix};
   router_->Route(ns, name.routing_id(), EncodeObject(name, lifetime, value));
 }
 
@@ -447,7 +453,7 @@ void Dht::SendToId(Id target, const std::string& ns, const std::string& key,
                    const std::string& suffix, std::string value,
                    TimeUs lifetime) {
   stats_.sends++;
-  ObjectName name{ns, key, suffix};
+  ObjectNameView name{ns, key, suffix};
   router_->Route(ns, target, EncodeObject(name, lifetime, value));
 }
 
@@ -608,20 +614,21 @@ void Dht::Renew(const std::string& ns, const std::string& key,
 // Intra-node operations
 // ---------------------------------------------------------------------------
 
-void Dht::LocalScan(const std::string& ns,
-                    const std::function<void(const ObjectName&, std::string_view)>& fn) {
-  objects_->Scan(ns, [this, &fn](const ObjectManager::Object& obj) {
+void Dht::LocalScan(std::string_view ns, const ScanFn& fn) {
+  objects_->Scan(ns, [this, &fn](ObjectNameView name,
+                                 const ObjectManager::Object& obj) {
     // Replica merge: of an object's k copies exactly one is visible to
     // scans, so replicated tables never double-count.
-    if (!repl_->ShouldEmitInScan(obj)) return;
-    fn(obj.name, obj.value);
+    if (!repl_->ShouldEmitInScan(name, obj)) return;
+    fn(name, obj.value());
   });
 }
 
-void Dht::LocalScan(const std::string& ns, const TimedScanFn& fn) {
-  objects_->Scan(ns, [this, &fn](const ObjectManager::Object& obj) {
-    if (!repl_->ShouldEmitInScan(obj)) return;
-    fn(obj.name, obj.value, obj.stored_at);
+void Dht::LocalScan(std::string_view ns, const TimedScanFn& fn) {
+  objects_->Scan(ns, [this, &fn](ObjectNameView name,
+                                 const ObjectManager::Object& obj) {
+    if (!repl_->ShouldEmitInScan(name, obj)) return;
+    fn(name, obj.value(), obj.stored_at);
   });
 }
 
@@ -707,7 +714,7 @@ void Dht::DispatchBatchNewData(const std::vector<WireObjectView>& stored) {
     if (!seen) ns_order.push_back(v.ns);
   }
   for (std::string_view ns : ns_order) {
-    auto it = subs_by_ns_.find(std::string(ns));
+    auto it = subs_by_ns_.find(ns);
     if (it == subs_by_ns_.end()) continue;
     std::vector<uint64_t> tokens = it->second;  // handlers may unsubscribe
     bool any_batch = false;
@@ -719,10 +726,8 @@ void Dht::DispatchBatchNewData(const std::vector<WireObjectView>& stored) {
     std::vector<NewDataEvent> events;
     for (const WireObjectView& v : stored) {
       if (v.ns != ns) continue;
-      events.push_back(NewDataEvent{
-          ObjectName{std::string(v.ns), std::string(v.key),
-                     std::string(v.suffix)},
-          v.value});
+      events.push_back(
+          NewDataEvent{ObjectNameView{v.ns, v.key, v.suffix}, v.value});
     }
     for (uint64_t token : tokens) {
       auto sit = subs_.find(token);
@@ -748,8 +753,8 @@ void Dht::HandleGetReq(const NetAddress& from, std::string_view body) {
   w.PutU64(op_id);
   w.PutU32(static_cast<uint32_t>(items.size()));
   for (const auto* obj : items) {
-    w.PutBytes(obj->name.suffix);
-    w.PutBytes(obj->value);
+    w.PutBytes(obj->suffix());
+    w.PutBytes(obj->value());
   }
   router_->SendDirect(NetAddress{host, port}, kMsgGetResp, std::move(w).data(),
                       nullptr);
@@ -797,8 +802,8 @@ void Dht::HandleGetReqEx(const NetAddress& from, std::string_view body) {
   w.PutU8(attempt);
   w.PutU32(static_cast<uint32_t>(items.size()));
   for (const auto* obj : items) {
-    w.PutBytes(obj->name.suffix);
-    w.PutBytes(obj->value);
+    w.PutBytes(obj->suffix());
+    w.PutBytes(obj->value());
     w.PutU64(static_cast<uint64_t>(obj->expires_at - now));
   }
   router_->SendDirect(NetAddress{host, port}, kMsgGetRespEx, std::move(w).data(),
@@ -871,16 +876,14 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
       !r.GetBytes(&ns).ok() || !r.GetBytes(&key).ok() || !r.GetBytes(&suffix).ok() ||
       !r.GetU64(&lifetime).ok())
     return;
-  ObjectName name{std::string(ns), std::string(key), std::string(suffix)};
+  ObjectNameView name{ns, key, suffix};
   Status s = objects_->Renew(name, static_cast<TimeUs>(lifetime));
   if (s.ok()) {
     // A renewed replicated object has drifted from its replica copies'
     // lifetimes: re-propagate it on the next repair tick.
-    for (const ObjectManager::Object* o : objects_->Get(name.ns, name.key)) {
-      if (o->name.suffix == name.suffix && !o->is_replica() &&
-          o->desired_replicas > 1)
-        repl_->RefreshReplicas(name);
-    }
+    const ObjectManager::Object* o = objects_->Find(name);
+    if (o != nullptr && !o->is_replica() && o->desired_replicas > 1)
+      repl_->RefreshReplicas(name);
   }
   WireWriter w;
   w.PutU64(op_id);

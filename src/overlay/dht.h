@@ -16,6 +16,7 @@
 #define PIER_OVERLAY_DHT_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -165,29 +166,32 @@ class Dht {
   // --- Intra-node operations (Table 2) ----------------------------------------
 
   /// localScan: visit all objects of `ns` stored at this node (handleLScan).
-  void LocalScan(const std::string& ns,
-                 const std::function<void(const ObjectName&, std::string_view)>& fn);
+  /// The name and value alias the store and are valid for the call.
+  using ScanFn = std::function<void(ObjectNameView, std::string_view value)>;
+  void LocalScan(std::string_view ns, const ScanFn& fn);
 
   /// localScan variant that also reports each object's local store time, so
   /// catch-up consumers (a swapped-in Scan honoring a catch-up high-water
   /// mark) can skip history without a second metadata lookup.
-  using TimedScanFn =
-      std::function<void(const ObjectName&, std::string_view value,
-                         TimeUs stored_at)>;
-  void LocalScan(const std::string& ns, const TimedScanFn& fn);
+  using TimedScanFn = std::function<void(ObjectNameView, std::string_view value,
+                                         TimeUs stored_at)>;
+  void LocalScan(std::string_view ns, const TimedScanFn& fn);
 
   /// newData: subscribe to objects newly stored at this node in `ns`
-  /// (handleNewData). Returns a subscription token.
+  /// (handleNewData). Returns a subscription token. The name and value are
+  /// valid for the call only, and alias the stored object: a handler that
+  /// removes or overwrites it must copy what it needs first
+  /// (ObjectNameView::ToName).
   using NewDataHandler =
-      std::function<void(const ObjectName&, std::string_view value)>;
+      std::function<void(ObjectNameView, std::string_view value)>;
   uint64_t OnNewData(const std::string& ns, NewDataHandler handler);
   void CancelNewData(uint64_t token);
 
-  /// One newly stored object in a batch newData delivery. `value` aliases
-  /// the receive frame (or the stored copy for single inserts) and is valid
-  /// only for the duration of the handler call.
+  /// One newly stored object in a batch newData delivery. `name` and
+  /// `value` alias the receive frame (or the stored object for single
+  /// inserts) and are valid only for the duration of the handler call.
   struct NewDataEvent {
-    ObjectName name;
+    ObjectNameView name;
     std::string_view value;
   };
   /// Batch-capable newData subscription: a multi-object kMsgPutBatch frame
@@ -214,12 +218,12 @@ class Dht {
     TimeUs lifetime = 0;
     std::string value;
   };
-  static std::string EncodeObject(const ObjectName& name, TimeUs lifetime,
+  static std::string EncodeObject(ObjectNameView name, TimeUs lifetime,
                                   std::string_view value);
   /// Append the object encoding to an existing writer (copy-free framing:
   /// the caller seeds the writer with its message type byte and the payload
   /// is written exactly once).
-  static void EncodeObjectTo(WireWriter* w, const ObjectName& name,
+  static void EncodeObjectTo(WireWriter* w, ObjectNameView name,
                              TimeUs lifetime, std::string_view value);
   static Result<WireObject> DecodeObject(std::string_view wire);
 
@@ -308,9 +312,8 @@ class Dht {
   void HandleRenewReq(const NetAddress& from, std::string_view body);
   void HandleRenewResp(const NetAddress& from, std::string_view body);
   void HandleRoutedDelivery(const RouteInfo& info, std::string_view payload);
-  void StoreObject(ObjectName name, std::string value, TimeUs lifetime);
-  /// Copy a decoded view's fields out of the receive buffer into the store
-  /// (the one unavoidable copy of the receive path).
+  /// Copy a decoded view's bytes out of the receive buffer straight into
+  /// the object's block (the one unavoidable copy of the receive path).
   void StoreFromView(const WireObjectView& v);
   TimeUs EffectiveLifetime(TimeUs lifetime) const {
     return lifetime > 0 ? lifetime : options_.default_lifetime;
@@ -356,7 +359,8 @@ class Dht {
     BatchNewDataHandler batch_handler;
   };
   std::unordered_map<uint64_t, Subscription> subs_;
-  std::unordered_map<std::string, std::vector<uint64_t>> subs_by_ns_;
+  /// Ordered with a transparent comparator: looked up by string_view.
+  std::map<std::string, std::vector<uint64_t>, std::less<>> subs_by_ns_;
   uint64_t next_sub_id_ = 1;
 
   /// Deliver a put-batch's stored objects to batch subscriptions, grouped by

@@ -37,7 +37,8 @@ DistributionTree::DistributionTree(Dht* dht, Options options)
   // namespace only for joins; deliveries land in HandleRoutedDelivery and
   // store a (harmless, soft-state) object — additionally record the child
   // here via newData.
-  join_sub_ = dht_->OnNewData(join_ns_, [this](const ObjectName& name, std::string_view) {
+  join_sub_ = dht_->OnNewData(join_ns_, [this](ObjectNameView name,
+                                               std::string_view) {
     WireReader r(name.suffix);
     uint32_t host;
     uint16_t port;
@@ -57,7 +58,8 @@ DistributionTree::DistributionTree(Dht* dht, Options options)
   dht_->RegisterUpcall(bcast_ns_, [](const RouteInfo&, std::string*) {
     return UpcallAction::kContinue;  // ride through to the root
   });
-  bcast_sub_ = dht_->OnNewData(bcast_ns_, [this](const ObjectName& name, std::string_view value) {
+  bcast_sub_ = dht_->OnNewData(bcast_ns_, [this](ObjectNameView name,
+                                                 std::string_view value) {
     WireReader r(name.suffix);
     uint64_t bcast_id;
     if (!r.GetU64(&bcast_id).ok()) return;

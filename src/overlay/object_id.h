@@ -68,6 +68,29 @@ struct ObjectName {
   }
 };
 
+/// A non-owning three-part name. The store hands these out instead of
+/// ObjectName copies; each part aliases bytes owned elsewhere (the store's
+/// namespace and key strings and the object's block, or a receive frame), so
+/// a view lives no longer than what it points into. Implicit from an
+/// ObjectName, so owned names pass wherever a view is taken.
+struct ObjectNameView {
+  std::string_view ns;
+  std::string_view key;
+  std::string_view suffix;
+
+  ObjectNameView() = default;
+  ObjectNameView(std::string_view n, std::string_view k, std::string_view s)
+      : ns(n), key(k), suffix(s) {}
+  ObjectNameView(const ObjectName& n)  // NOLINT(google-explicit-constructor)
+      : ns(n.ns), key(n.key), suffix(n.suffix) {}
+
+  Id routing_id() const { return RoutingId(ns, key); }
+  /// An owned copy, for holding the name across a store mutation.
+  ObjectName ToName() const {
+    return ObjectName{std::string(ns), std::string(key), std::string(suffix)};
+  }
+};
+
 struct ObjectNameHash {
   size_t operator()(const ObjectName& n) const {
     return HashCombine(HashNamespaceKey(n.ns, n.key), Fnv1a64(n.suffix));

@@ -47,7 +47,7 @@ WireWriter ReplicationManager::FrameReplicate(uint8_t replica_index,
 }
 
 void ReplicationManager::EncodeReplicaObject(WireWriter* w,
-                                             const ObjectName& name,
+                                             ObjectNameView name,
                                              TimeUs remaining, TimeUs age,
                                              uint8_t desired_replicas,
                                              std::string_view value) {
@@ -84,8 +84,7 @@ void ReplicationManager::HandleReplicate(const NetAddress& from,
         !r.GetBytes(&value).ok())
       return;  // best-effort: keep what already decoded
     objects_->PutReplica(
-        ObjectName{std::string(ns), std::string(key), std::string(suffix)},
-        std::string(value), static_cast<TimeUs>(remaining),
+        ObjectNameView{ns, key, suffix}, value, static_cast<TimeUs>(remaining),
         static_cast<TimeUs>(age), replica_index, desired, owner_id);
     if (desired > 1) seen_replicated_ = true;
     if (replica_index == 0) {
@@ -114,11 +113,12 @@ void ReplicationManager::HandlePull(const NetAddress& from,
 
   // Everything replicated in the requested range — whether we hold it as
   // primary or replica, the new owner should have a primary copy.
-  std::vector<const ObjectManager::Object*> matches;
-  objects_->ScanAll([&](const ObjectManager::Object& o) {
-    if (o.name.key.empty() || o.desired_replicas <= 1) return;
-    if (InOpenClosed(lo, hi, o.name.routing_id()))
-      matches.push_back(&o);
+  // The scan only erases objects it meets expired, so the views and objects
+  // collected here stay valid until the encode loop below.
+  std::vector<std::pair<ObjectNameView, const ObjectManager::Object*>> matches;
+  objects_->ScanAll([&](ObjectNameView name, const ObjectManager::Object& o) {
+    if (name.key.empty() || o.desired_replicas <= 1) return;
+    if (InOpenClosed(lo, hi, name.routing_id())) matches.emplace_back(name, &o);
   });
   TimeUs now = vri_->Now();
   for (size_t start = 0; start < matches.size();
@@ -126,9 +126,9 @@ void ReplicationManager::HandlePull(const NetAddress& from,
     size_t n = std::min(options_.max_objects_per_frame, matches.size() - start);
     WireWriter w = FrameReplicate(0, Origin::kHandoffPull, requester_id, n);
     for (size_t j = start; j < start + n; ++j) {
-      const ObjectManager::Object* o = matches[j];
-      EncodeReplicaObject(&w, o->name, o->expires_at - now, now - o->stored_at,
-                          o->desired_replicas, o->value);
+      const auto& [name, o] = matches[j];
+      EncodeReplicaObject(&w, name, o->expires_at - now, now - o->stored_at,
+                          o->desired_replicas, o->value());
     }
     stats_.replica_copies_sent += n;
     router_->SendFramed(requester, std::move(w).data(), nullptr);
@@ -158,16 +158,16 @@ void ReplicationManager::RepairTick() {
   // unreplicated deployment does no sweeps and sends no repair traffic.
   if (seen_replicated_ && (succ_changed || pred_changed)) {
     std::vector<ObjectName> to_promote, to_demote;
-    objects_->ScanAll([&](const ObjectManager::Object& o) {
-      if (o.name.key.empty()) return;  // in-situ local state: never replicated
+    objects_->ScanAll([&](ObjectNameView name, const ObjectManager::Object& o) {
+      if (name.key.empty()) return;  // in-situ local state: never replicated
       if (!o.is_replica() && o.desired_replicas <= 1) return;
-      bool own = proto->IsOwner(o.name.routing_id());
+      bool own = proto->IsOwner(name.routing_id());
       if (o.is_replica() && own) {
-        to_promote.push_back(o.name);
+        to_promote.push_back(name.ToName());
       } else if (!o.is_replica() && !own) {
-        to_demote.push_back(o.name);
+        to_demote.push_back(name.ToName());
       } else if (!o.is_replica() && own && succ_changed) {
-        EnqueuePush(o.name);
+        EnqueuePush(name);
       }
     });
     // Mutations happen after the scan: Promote fires newData, whose handlers
@@ -222,14 +222,14 @@ void ReplicationManager::RepairTick() {
   DrainPushQueue();
 }
 
-void ReplicationManager::EnqueuePush(const ObjectName& name) {
+void ReplicationManager::EnqueuePush(ObjectNameView name) {
   // The queue is swept per tick; duplicates would only resend the same
   // frame, so a linear dedup against recent entries is enough.
   for (const ObjectName& q : push_queue_) {
     if (q.ns == name.ns && q.key == name.key && q.suffix == name.suffix)
       return;
   }
-  push_queue_.push_back(name);
+  push_queue_.push_back(name.ToName());
 }
 
 void ReplicationManager::DrainPushQueue() {
@@ -239,9 +239,16 @@ void ReplicationManager::DrainPushQueue() {
       static_cast<size_t>(std::max(0, proto->MaxReplicationFactor() - 1));
   std::vector<NetAddress> succs = proto->SuccessorSet(window);
 
+  // Drained names stay owned here: the batches below index into `live`.
+  // Find never erases, so the objects stay valid until they are encoded.
+  struct Live {
+    ObjectName name;
+    const ObjectManager::Object* obj;
+  };
+  std::vector<Live> live;
   struct DestBatch {
     uint8_t replica_index = 1;
-    std::vector<const ObjectManager::Object*> objs;
+    std::vector<size_t> objs;  // indices into `live`
   };
   std::map<NetAddress, DestBatch> by_dest;
   size_t processed = 0;
@@ -250,20 +257,18 @@ void ReplicationManager::DrainPushQueue() {
     ObjectName name = std::move(push_queue_.front());
     push_queue_.pop_front();
     processed++;
-    const ObjectManager::Object* obj = nullptr;
-    for (const ObjectManager::Object* o : objects_->Get(name.ns, name.key)) {
-      if (o->name.suffix == name.suffix) obj = o;
-    }
+    const ObjectManager::Object* obj = objects_->Find(name);
     // Only live primaries we still own re-propagate; everything else left
     // the queue's jurisdiction while it waited.
     if (obj == nullptr || obj->is_replica() || obj->desired_replicas <= 1 ||
-        !proto->IsOwner(obj->name.routing_id()))
+        !proto->IsOwner(name.routing_id()))
       continue;
     for (size_t j = 0; j + 1 < obj->desired_replicas && j < succs.size(); ++j) {
       DestBatch& batch = by_dest[succs[j]];
       batch.replica_index = static_cast<uint8_t>(j + 1);
-      batch.objs.push_back(obj);
+      batch.objs.push_back(live.size());
     }
+    live.push_back(Live{std::move(name), obj});
   }
 
   TimeUs now = vri_->Now();
@@ -275,9 +280,11 @@ void ReplicationManager::DrainPushQueue() {
       WireWriter w = FrameReplicate(batch.replica_index, Origin::kHandoffPush,
                                     router_->local_id(), n);
       for (size_t j = start; j < start + n; ++j) {
-        const ObjectManager::Object* o = batch.objs[j];
-        EncodeReplicaObject(&w, o->name, o->expires_at - now,
-                            now - o->stored_at, o->desired_replicas, o->value);
+        const Live& l = live[batch.objs[j]];
+        const ObjectManager::Object* o = l.obj;
+        EncodeReplicaObject(&w, l.name, o->expires_at - now,
+                            now - o->stored_at, o->desired_replicas,
+                            o->value());
       }
       stats_.handoff_pushes += n;
       stats_.replica_copies_sent += n;
@@ -290,12 +297,13 @@ void ReplicationManager::DrainPushQueue() {
 // Scan-time replica merge
 // ---------------------------------------------------------------------------
 
-bool ReplicationManager::ShouldEmitInScan(const ObjectManager::Object& obj) {
-  if (!obj.is_replica() || obj.name.key.empty()) return true;
+bool ReplicationManager::ShouldEmitInScan(ObjectNameView name,
+                                          const ObjectManager::Object& obj) {
+  if (!obj.is_replica() || name.key.empty()) return true;
   // The owner is gone and ownership of this id moved here: the replica now
   // speaks for the object. Until then exactly one copy (the primary at the
   // owner) is visible to scans, so k copies never double-count.
-  if (router_->protocol()->IsOwner(obj.name.routing_id())) return true;
+  if (router_->protocol()->IsOwner(name.routing_id())) return true;
   stats_.suppressed_scan_rows++;
   return false;
 }

@@ -99,7 +99,7 @@ class ReplicationManager {
   /// EncodeReplicaObject, then hand to OverlayRouter::SendFramed.
   static WireWriter FrameReplicate(uint8_t replica_index, Origin origin,
                                    uint64_t owner_id, size_t count);
-  static void EncodeReplicaObject(WireWriter* w, const ObjectName& name,
+  static void EncodeReplicaObject(WireWriter* w, ObjectNameView name,
                                   TimeUs remaining, TimeUs age,
                                   uint8_t desired_replicas,
                                   std::string_view value);
@@ -110,7 +110,7 @@ class ReplicationManager {
 
   /// Queue an owned replicated primary for re-propagation (e.g. after a
   /// Renew drifted its lifetime away from the replica copies').
-  void RefreshReplicas(const ObjectName& name) { EnqueuePush(name); }
+  void RefreshReplicas(ObjectNameView name) { EnqueuePush(name); }
 
   // --- Scan-time replica merge --------------------------------------------
 
@@ -118,7 +118,7 @@ class ReplicationManager {
   /// objects (empty key) always pass; replica copies pass only once this
   /// node owns their routing id (i.e. the owner is gone and this copy now
   /// speaks for the object). Suppressions are counted.
-  bool ShouldEmitInScan(const ObjectManager::Object& obj);
+  bool ShouldEmitInScan(ObjectNameView name, const ObjectManager::Object& obj);
 
   const Stats& stats() const { return stats_; }
   int replication_factor() const { return options_.replication_factor; }
@@ -134,7 +134,8 @@ class ReplicationManager {
   void HandlePull(const NetAddress& from, std::string_view body);
   void RepairTick();
   /// Queue `name` for (re-)propagation to the first desired-1 successors.
-  void EnqueuePush(const ObjectName& name);
+  /// The queue holds owned copies.
+  void EnqueuePush(ObjectNameView name);
   void DrainPushQueue();
 
   Vri* vri_;

@@ -54,7 +54,7 @@ class ScanOp : public Operator {
       BatchAssembler batches;
       size_t rows = 0;
       cx_->dht->LocalScan(
-          ns_, [this, &batches, &rows](const ObjectName& name,
+          ns_, [this, &batches, &rows](ObjectNameView name,
                                        std::string_view value,
                                        TimeUs stored_at) {
             if (floor_ > 0 && stored_at < floor_) {
@@ -91,12 +91,12 @@ class ScanOp : public Operator {
   /// Scan + watch can see the same object twice (stored mid-scan); dedup by
   /// the object's *identity* (key + suffix), never by content — distinct
   /// publishers legitimately produce byte-identical tuples.
-  bool Admit(const ObjectName& name) {
+  bool Admit(ObjectNameView name) {
     uint64_t h = HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix));
     return seen_.insert(h).second;
   }
 
-  void Deliver(const ObjectName& name, std::string_view value) {
+  void Deliver(ObjectNameView name, std::string_view value) {
     if (!Admit(name)) return;
     Result<Tuple> t = Tuple::Decode(value);
     if (!t.ok()) {
@@ -171,7 +171,7 @@ class NewDataOp : public Operator {
         BatchAssembler batches;
         size_t rows = 0;
         cx_->dht->LocalScan(
-            ns_, [this, &batches, &rows](const ObjectName& name,
+            ns_, [this, &batches, &rows](ObjectNameView name,
                                          std::string_view value,
                                          TimeUs stored_at) {
               if (floor_ > 0 && stored_at < floor_) {
@@ -203,12 +203,12 @@ class NewDataOp : public Operator {
   }
 
  private:
-  bool Admit(const ObjectName& name) {
+  bool Admit(ObjectNameView name) {
     uint64_t h = HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix));
     return seen_.insert(h).second;
   }
 
-  void Deliver(const ObjectName& name, std::string_view value) {
+  void Deliver(ObjectNameView name, std::string_view value) {
     if (!Admit(name)) return;
     Result<Tuple> t = Tuple::Decode(value);
     if (!t.ok()) return;

@@ -111,7 +111,7 @@ class HierAggOp : public Operator {
 
     // The root receives whatever reaches the owner of (ns, root_key).
     newdata_sub_ = cx_->dht->OnNewData(
-        ns_, [this, alive](const ObjectName& name, std::string_view value) {
+        ns_, [this, alive](ObjectNameView name, std::string_view value) {
           if (alive.expired()) return;
           AbsorbRootObject(name, value);
         });
@@ -128,7 +128,7 @@ class HierAggOp : public Operator {
       // partials the superseded generation already folded and answered
       // must not re-enter the root accumulation.
       cx_->dht->LocalScan(
-          ns_, [this](const ObjectName& name, std::string_view value,
+          ns_, [this](ObjectNameView name, std::string_view value,
                       TimeUs stored_at) {
             if (cx_->catchup_floor_us > 0 && stored_at < cx_->catchup_floor_us)
               return;
@@ -246,7 +246,7 @@ class HierAggOp : public Operator {
 
   /// Root-side entry point shared by newdata and the catch-up scan; dedup by
   /// object identity (aggregate states must be merged exactly once).
-  void AbsorbRootObject(const ObjectName& name, std::string_view value) {
+  void AbsorbRootObject(ObjectNameView name, std::string_view value) {
     uint64_t id = HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix));
     if (!root_seen_.insert(id).second) return;
     Result<PartialBatch> batch = PartialBatch::Decode(value);
@@ -409,7 +409,7 @@ class HierJoinOp : public Operator {
 
     // Bucket owner: join with suppression of already-produced pairs.
     newdata_sub_ = cx_->dht->OnNewData(
-        ns_, [this, alive](const ObjectName& name, std::string_view value) {
+        ns_, [this, alive](ObjectNameView name, std::string_view value) {
           if (alive.expired()) return;
           ProcessOwnerRecord(name, value);
         });
@@ -428,7 +428,7 @@ class HierJoinOp : public Operator {
       // not already-counted deltas — a swapped-in instance needs all of
       // them or old-side × new-side matches are silently lost.
       cx_->dht->LocalScan(
-          ns_, [this](const ObjectName& name, std::string_view value) {
+          ns_, [this](ObjectNameView name, std::string_view value) {
             ProcessOwnerRecord(name, value);
           });
     });
@@ -479,12 +479,12 @@ class HierJoinOp : public Operator {
  private:
   /// Owner-side entry point: newdata and the catch-up scan can both see the
   /// same stored object, so dedup by object identity before joining.
-  void ProcessOwnerRecord(const ObjectName& name, std::string_view value) {
+  void ProcessOwnerRecord(ObjectNameView name, std::string_view value) {
     uint64_t id = HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix));
     if (!owner_seen_.insert(id).second) return;
     Result<JoinRecord> rec = JoinRecord::Decode(value);
     if (!rec.ok()) return;
-    ProcessAtCache(name.key, *rec, /*at_owner=*/true);
+    ProcessAtCache(std::string(name.key), *rec, /*at_owner=*/true);
   }
 
   /// Join `rec` against the opposite side cached under `key`, then cache it.

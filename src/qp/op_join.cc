@@ -69,17 +69,15 @@ class SymHashJoinOp : public Operator {
     std::string k = key->CanonicalString();
 
     // Store in this side's soft-state partition.
-    ObjectName name;
-    name.ns = ns_[port];
-    name.key = k;
-    name.suffix = cx_->NextSuffix();
-    cx_->dht->objects()->Put(std::move(name), t.Encode(), cx_->query_lifetime);
+    std::string suffix = cx_->NextSuffix();
+    cx_->dht->objects()->Put(ObjectNameView{ns_[port], k, suffix}, t.Encode(),
+                             cx_->query_lifetime);
 
     // Probe the opposite side.
     int other = 1 - port;
     for (const ObjectManager::Object* obj :
          cx_->dht->objects()->Get(ns_[other], k)) {
-      Result<Tuple> o = Tuple::Decode(obj->value);
+      Result<Tuple> o = Tuple::Decode(obj->value());
       if (!o.ok()) continue;
       const Tuple& l = port == 0 ? t : *o;
       const Tuple& r = port == 0 ? *o : t;
@@ -117,17 +115,14 @@ class SymHashJoinOp : public Operator {
                           .CanonicalString();
       // Store this side's row without materializing a Tuple: EncodeRow is
       // byte-identical to Tuple::Encode of the row.
-      ObjectName name;
-      name.ns = ns_[port];
-      name.key = k;
-      name.suffix = cx_->NextSuffix();
-      cx_->dht->objects()->Put(std::move(name), batch.EncodeRow(r),
-                               cx_->query_lifetime);
+      std::string suffix = cx_->NextSuffix();
+      cx_->dht->objects()->Put(ObjectNameView{ns_[port], k, suffix},
+                               batch.EncodeRow(r), cx_->query_lifetime);
       auto matches = cx_->dht->objects()->Get(ns_[other], k);
       if (matches.empty()) continue;
       Tuple t = batch.RowTuple(r);  // materialize only on a probe hit
       for (const ObjectManager::Object* obj : matches) {
-        Result<Tuple> o = Tuple::Decode(obj->value);
+        Result<Tuple> o = Tuple::Decode(obj->value());
         if (!o.ok()) continue;
         const Tuple& l = port == 0 ? t : *o;
         const Tuple& rt = port == 0 ? *o : t;
@@ -300,7 +295,7 @@ class BloomCreateOp : public Operator {
     // merged into ONE object (the partials are removed locally), so probers
     // fetch a single filter no matter how many nodes contributed.
     coalesce_sub_ = cx_->dht->OnNewData(
-        ns_, [this, alive](const ObjectName& name, std::string_view value) {
+        ns_, [this, alive](ObjectNameView name, std::string_view value) {
           if (alive.expired() || name.suffix == kMergedSuffix) return;
           Result<BloomFilter> f = BloomFilter::Deserialize(value);
           if (!f.ok()) return;
@@ -309,13 +304,13 @@ class BloomCreateOp : public Operator {
           } else if (!owner_merged_->Merge(*f).ok()) {
             return;
           }
+          // `name` aliases the partial being removed (its block and, once
+          // the partial is gone, possibly its key and namespace strings):
+          // build the merged name before the Remove.
+          ObjectName merged{std::string(name.ns), std::string(name.key),
+                            kMergedSuffix};
           cx_->dht->objects()->Remove(name);
-          ObjectName merged;
-          merged.ns = name.ns;
-          merged.key = name.key;
-          merged.suffix = kMergedSuffix;
-          cx_->dht->objects()->Put(std::move(merged),
-                                   owner_merged_->Serialize(),
+          cx_->dht->objects()->Put(merged, owner_merged_->Serialize(),
                                    cx_->query_lifetime);
         });
     return Status::Ok();

@@ -501,11 +501,10 @@ class MaterializerOp : public Operator {
 
   void Consume(int, uint32_t tag, Tuple t) override {
     stats_.consumed++;
-    ObjectName name;
-    name.ns = ns_;
-    name.key = t.PartitionKey(key_attrs_);
-    name.suffix = cx_->NextSuffix();
-    cx_->dht->objects()->Put(std::move(name), t.Encode(), lifetime_);
+    std::string key = t.PartitionKey(key_attrs_);
+    std::string suffix = cx_->NextSuffix();
+    cx_->dht->objects()->Put(ObjectNameView{ns_, key, suffix}, t.Encode(),
+                             lifetime_);
     EmitTuple(tag, t);
   }
 
@@ -513,11 +512,10 @@ class MaterializerOp : public Operator {
     const size_t n = batch.num_rows();
     stats_.consumed += n;
     for (size_t r = 0; r < n; ++r) {
-      ObjectName name;
-      name.ns = ns_;
-      name.key = batch.RowPartitionKey(r, key_attrs_);
-      name.suffix = cx_->NextSuffix();
-      cx_->dht->objects()->Put(std::move(name), batch.EncodeRow(r), lifetime_);
+      std::string key = batch.RowPartitionKey(r, key_attrs_);
+      std::string suffix = cx_->NextSuffix();
+      cx_->dht->objects()->Put(ObjectNameView{ns_, key, suffix},
+                               batch.EncodeRow(r), lifetime_);
     }
     PushBatch(tag, batch);
   }

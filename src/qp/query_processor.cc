@@ -151,7 +151,7 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
 
   // Targeted (equality) dissemination arrives as a stored object.
   dissem_sub_ = dht_->OnNewData(
-      kDissemNs, [this](const ObjectName&, std::string_view value) {
+      kDissemNs, [this](ObjectNameView, std::string_view value) {
         HandleDisseminationBlob(value);
       });
 
@@ -293,14 +293,12 @@ void QueryProcessor::PublishRange(const std::string& pht_table,
 size_t QueryProcessor::StoreLocal(const std::string& table, const Tuple& t,
                                   TimeUs lifetime) {
   if (lifetime <= 0) lifetime = options_.publish_lifetime;
-  ObjectName name;
-  name.ns = table;
-  name.key = "";  // local-only: the partition key is never routed on
-  name.suffix = std::to_string(next_suffix_++) + "@" +
-                std::to_string(dht_->local_address().host);
+  // Local-only: the empty partition key is never routed on.
+  std::string suffix = std::to_string(next_suffix_++) + "@" +
+                       std::to_string(dht_->local_address().host);
   std::string wire = t.Encode();
   size_t bytes = wire.size();
-  dht_->objects()->Put(std::move(name), std::move(wire), lifetime);
+  dht_->objects()->Put(ObjectNameView{table, "", suffix}, wire, lifetime);
   return bytes;
 }
 

@@ -1,13 +1,18 @@
 // DHT batching and wire-path tests: PutBatch grouping/ordering/fallback
-// semantics, the byte-identical-when-unbatched guard, and router send
-// coalescing.
+// semantics, the byte-identical-when-unbatched guard, router send
+// coalescing, and the soft-state store checked against a reference model.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "overlay/dht.h"
+#include "overlay/object_manager.h"
 #include "overlay/sim_overlay.h"
+#include "util/random.h"
 
 namespace pier {
 namespace {
@@ -96,8 +101,8 @@ TEST(DhtBatch, OrderPreservedWithinKey) {
   ASSERT_GE(owner, 0);
   std::vector<std::string> arrivals;
   net.dht(owner)->OnNewData("ord",
-                            [&](const ObjectName& name, std::string_view) {
-                              arrivals.push_back(name.suffix);
+                            [&](ObjectNameView name, std::string_view) {
+                              arrivals.emplace_back(name.suffix);
                             });
   std::vector<DhtPutItem> items;
   for (int i = 0; i < 8; ++i)
@@ -259,6 +264,362 @@ TEST(DhtCoalesce, DisabledByDefault) {
     EXPECT_EQ(net.dht(i)->router()->stats().coalesced_msgs, 0u);
     EXPECT_EQ(net.dht(i)->router()->stats().bundles_sent, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// ObjectManager against a reference model
+// ---------------------------------------------------------------------------
+
+/// A Vri that is only a settable clock. The store's GC timer never fires;
+/// the test calls DropExpired itself.
+class ClockVri : public Vri {
+ public:
+  TimeUs now = 0;
+
+  TimeUs Now() const override { return now; }
+  uint64_t ScheduleEvent(TimeUs, std::function<void()>) override {
+    return ++tokens_;
+  }
+  void CancelEvent(uint64_t) override {}
+  Status UdpListen(uint16_t, UdpHandler*) override { return Unsupported(); }
+  void UdpRelease(uint16_t) override {}
+  Status UdpSend(uint16_t, const NetAddress&, std::string) override {
+    return Unsupported();
+  }
+  Status TcpListen(uint16_t, TcpHandler*) override { return Unsupported(); }
+  void TcpRelease(uint16_t) override {}
+  Result<uint64_t> TcpConnect(const NetAddress&, TcpHandler*) override {
+    return Unsupported();
+  }
+  Status TcpWrite(uint64_t, std::string) override { return Unsupported(); }
+  void TcpClose(uint64_t) override {}
+  NetAddress LocalAddress() const override { return NetAddress{}; }
+  Rng* rng() override { return &rng_; }
+
+ private:
+  static Status Unsupported() { return Status::NotSupported("clock only"); }
+  uint64_t tokens_ = 0;
+  Rng rng_{1};
+};
+
+/// One object with every observable field, length-prefixed so distinct
+/// objects never print alike.
+std::string Describe(std::string_view ns, std::string_view key,
+                     std::string_view suffix, std::string_view value,
+                     TimeUs expires_at, TimeUs stored_at, int replica_index,
+                     int desired_replicas, uint64_t owner_id) {
+  std::string out;
+  for (std::string_view part : {ns, key, suffix, value}) {
+    out += std::to_string(part.size()) + ":";
+    out.append(part.data(), part.size());
+    out += "|";
+  }
+  out += std::to_string(expires_at) + "|" + std::to_string(stored_at) + "|" +
+         std::to_string(replica_index) + "|" +
+         std::to_string(desired_replicas) + "|" + std::to_string(owner_id);
+  return out;
+}
+
+std::string Describe(ObjectNameView name, const ObjectManager::Object& o) {
+  return Describe(name.ns, name.key, o.suffix(), o.value(), o.expires_at,
+                  o.stored_at, o.replica_index, o.desired_replicas, o.owner_id);
+}
+
+/// The store's semantics as plain nested maps of strings: lazy expiry on
+/// every read path that meets an object, counts that include expired
+/// objects no sweep has dropped yet, hooks for primaries only.
+class ModelStore {
+ public:
+  struct Obj {
+    std::string value;
+    TimeUs expires_at = 0;
+    TimeUs stored_at = 0;
+    uint8_t replica_index = 0;
+    uint8_t desired_replicas = 1;
+    uint64_t owner_id = 0;
+  };
+  using Suffixes = std::map<std::string, Obj>;
+  using Keys = std::map<std::string, Suffixes>;
+
+  ModelStore(const TimeUs* now, TimeUs max_lifetime,
+             std::vector<std::string>* hooks)
+      : now_(now), max_lifetime_(max_lifetime), hooks_(hooks) {}
+
+  void Put(const ObjectName& n, const std::string& value, TimeUs lifetime) {
+    lifetime = std::min(lifetime, max_lifetime_);
+    if (lifetime <= 0) return;
+    Obj o;
+    o.value = value;
+    o.expires_at = *now_ + lifetime;
+    o.stored_at = *now_;
+    store_[n.ns][n.key][n.suffix] = o;
+    hooks_->push_back(Show(n, o));
+  }
+
+  void PutReplica(const ObjectName& n, const std::string& value,
+                  TimeUs remaining, TimeUs age, uint8_t replica_index,
+                  uint8_t desired, uint64_t owner_id) {
+    remaining = std::min(remaining, max_lifetime_);
+    if (remaining <= 0) return;
+    Obj o;
+    o.value = value;
+    o.expires_at = *now_ + remaining;
+    o.stored_at = *now_ - std::max<TimeUs>(age, 0);
+    o.replica_index = replica_index;
+    o.desired_replicas = desired > 0 ? desired : 1;
+    o.owner_id = owner_id;
+    store_[n.ns][n.key][n.suffix] = o;
+    if (replica_index == 0) hooks_->push_back(Show(n, o));
+  }
+
+  bool Promote(const ObjectName& n) {
+    Obj* o = Raw(n);
+    if (o == nullptr) return false;
+    if (o->expires_at <= *now_) {
+      store_[n.ns][n.key].erase(n.suffix);
+      return false;
+    }
+    if (o->replica_index == 0) return false;
+    o->replica_index = 0;
+    hooks_->push_back(Show(n, *o));
+    return true;
+  }
+
+  bool Demote(const ObjectName& n) {
+    Obj* o = Raw(n);
+    if (o == nullptr || o->replica_index != 0) return false;
+    o->replica_index = 1;
+    return true;
+  }
+
+  bool Renew(const ObjectName& n, TimeUs lifetime) {
+    lifetime = std::min(lifetime, max_lifetime_);
+    Obj* o = Raw(n);
+    if (o == nullptr) return false;
+    if (o->expires_at <= *now_) {
+      store_[n.ns][n.key].erase(n.suffix);
+      return false;
+    }
+    o->expires_at = *now_ + lifetime;
+    return true;
+  }
+
+  std::string Find(const ObjectName& n) {
+    Obj* o = Raw(n);
+    return o != nullptr && o->expires_at > *now_ ? Show(n, *o) : "";
+  }
+
+  std::vector<std::string> Get(const std::string& ns, const std::string& key) {
+    std::vector<std::string> out;
+    auto ns_it = store_.find(ns);
+    if (ns_it == store_.end()) return out;
+    auto key_it = ns_it->second.find(key);
+    if (key_it == ns_it->second.end()) return out;
+    Visit(ns, key, &key_it->second, &out);
+    return out;
+  }
+
+  std::vector<std::string> Scan(const std::string& ns) {
+    std::vector<std::string> out;
+    auto ns_it = store_.find(ns);
+    if (ns_it == store_.end()) return out;
+    for (auto& [key, suffixes] : ns_it->second) Visit(ns, key, &suffixes, &out);
+    return out;
+  }
+
+  std::vector<std::string> ScanAll() {
+    std::vector<std::string> out;
+    for (auto& [ns, keys] : store_) {
+      for (auto& [key, suffixes] : keys) Visit(ns, key, &suffixes, &out);
+    }
+    return out;
+  }
+
+  void Remove(const ObjectName& n) {
+    auto ns_it = store_.find(n.ns);
+    if (ns_it == store_.end()) return;
+    auto key_it = ns_it->second.find(n.key);
+    if (key_it != ns_it->second.end()) key_it->second.erase(n.suffix);
+  }
+
+  void DropNamespace(const std::string& ns) { store_.erase(ns); }
+
+  void DropExpired() {
+    for (auto& [ns, keys] : store_) {
+      for (auto& [key, suffixes] : keys) {
+        for (auto it = suffixes.begin(); it != suffixes.end();) {
+          it = it->second.expires_at <= *now_ ? suffixes.erase(it) : ++it;
+        }
+      }
+    }
+  }
+
+  size_t Objects(const std::string& ns) const {
+    size_t n = 0;
+    auto ns_it = store_.find(ns);
+    if (ns_it == store_.end()) return 0;
+    for (const auto& [key, suffixes] : ns_it->second) n += suffixes.size();
+    return n;
+  }
+
+  size_t TotalObjects() const {
+    size_t n = 0;
+    for (const auto& [ns, keys] : store_) n += Objects(ns);
+    return n;
+  }
+
+  size_t TotalBytes() const {
+    size_t n = 0;
+    for (const auto& [ns, keys] : store_) {
+      for (const auto& [key, suffixes] : keys) {
+        for (const auto& [suffix, o] : suffixes)
+          n += sizeof(ObjectManager::Object) + suffix.size() + o.value.size();
+      }
+    }
+    return n;
+  }
+
+ private:
+  static std::string Show(const ObjectName& n, const Obj& o) {
+    return Describe(n.ns, n.key, n.suffix, o.value, o.expires_at, o.stored_at,
+                    o.replica_index, o.desired_replicas, o.owner_id);
+  }
+
+  Obj* Raw(const ObjectName& n) {
+    auto ns_it = store_.find(n.ns);
+    if (ns_it == store_.end()) return nullptr;
+    auto key_it = ns_it->second.find(n.key);
+    if (key_it == ns_it->second.end()) return nullptr;
+    auto it = key_it->second.find(n.suffix);
+    return it == key_it->second.end() ? nullptr : &it->second;
+  }
+
+  void Visit(const std::string& ns, const std::string& key, Suffixes* suffixes,
+             std::vector<std::string>* out) {
+    for (auto it = suffixes->begin(); it != suffixes->end();) {
+      if (it->second.expires_at <= *now_) {
+        it = suffixes->erase(it);
+      } else {
+        out->push_back(Show(ObjectName{ns, key, it->first}, it->second));
+        ++it;
+      }
+    }
+  }
+
+  const TimeUs* now_;
+  TimeUs max_lifetime_;
+  std::vector<std::string>* hooks_;
+  std::map<std::string, Keys> store_;
+};
+
+TEST(ObjectManagerModel, MatchesReferenceOverRandomOperations) {
+  constexpr TimeUs kMaxLifetime = 1000;
+  ClockVri vri;
+  vri.now = 5000;
+  ObjectManager::Options opts;
+  opts.max_lifetime = kMaxLifetime;
+  ObjectManager store(&vri, opts);
+  std::vector<std::string> real_hooks, model_hooks;
+  store.set_insert_hook(
+      [&](ObjectNameView name, const ObjectManager::Object& o) {
+        real_hooks.push_back(Describe(name, o));
+      });
+  ModelStore model(&vri.now, kMaxLifetime, &model_hooks);
+
+  // A small name space so names collide: embedded NULs, prefixes of each
+  // other and bytes above 0x7f pin the byte-wise suffix order.
+  const std::vector<std::string> spaces = {"a", "b", std::string("a\0", 2)};
+  const std::vector<std::string> keys = {"", "k", "k1", "\xff"};
+  const std::vector<std::string> suffixes = {
+      "",  "s", std::string("s\0", 2), "s0", "s00", "t", "\x7f", "\x80",
+      "\xff", "\xff\xff"};
+  Rng rng(20240611);
+  auto pick = [&](const std::vector<std::string>& v) {
+    return v[rng.Uniform(v.size())];
+  };
+  auto random_name = [&] {
+    return ObjectName{pick(spaces), pick(keys), pick(suffixes)};
+  };
+  // Lifetimes straddle zero and the cap, so puts get clamped or refused and
+  // renews can shorten a lifetime below a namespace's current GC bound.
+  auto random_lifetime = [&] {
+    return static_cast<TimeUs>(rng.Uniform(kMaxLifetime + 300)) - 100;
+  };
+  auto random_value = [&] {
+    char fill = static_cast<char>('a' + rng.Uniform(26));
+    return std::string(rng.Uniform(40), fill);
+  };
+  auto real_view = [&](std::vector<std::string>* out) {
+    return [out](ObjectNameView name, const ObjectManager::Object& o) {
+      out->push_back(Describe(name, o));
+    };
+  };
+
+  constexpr int kOps = 20000;
+  for (int i = 0; i < kOps; ++i) {
+    if (rng.Uniform(4) == 0) vri.now += static_cast<TimeUs>(rng.Uniform(60));
+    ObjectName n = random_name();
+    uint64_t op = rng.Uniform(100);
+    if (op < 30) {
+      std::string v = random_value();
+      TimeUs life = random_lifetime();
+      store.Put(n, v, life);
+      model.Put(n, v, life);
+    } else if (op < 45) {
+      std::string v = random_value();
+      TimeUs remaining = random_lifetime();
+      TimeUs age = static_cast<TimeUs>(rng.Uniform(200)) - 20;
+      uint8_t index = static_cast<uint8_t>(rng.Uniform(3));
+      uint8_t desired = static_cast<uint8_t>(rng.Uniform(4));
+      uint64_t owner = rng.Uniform(5);
+      store.PutReplica(n, v, remaining, age, index, desired, owner);
+      model.PutReplica(n, v, remaining, age, index, desired, owner);
+    } else if (op < 52) {
+      ASSERT_EQ(store.Promote(n), model.Promote(n)) << "op " << i;
+    } else if (op < 57) {
+      ASSERT_EQ(store.Demote(n), model.Demote(n)) << "op " << i;
+    } else if (op < 67) {
+      TimeUs life = random_lifetime();
+      ASSERT_EQ(store.Renew(n, life).ok(), model.Renew(n, life)) << "op " << i;
+    } else if (op < 73) {
+      std::vector<std::string> got;
+      for (const ObjectManager::Object* o : store.Get(n.ns, n.key))
+        got.push_back(Describe(ObjectNameView{n.ns, n.key, o->suffix()}, *o));
+      ASSERT_EQ(got, model.Get(n.ns, n.key)) << "op " << i;
+    } else if (op < 76) {
+      const ObjectManager::Object* o = store.Find(n);
+      ASSERT_EQ(o == nullptr ? "" : Describe(n, *o), model.Find(n))
+          << "op " << i;
+    } else if (op < 81) {
+      std::vector<std::string> got;
+      store.Scan(n.ns, real_view(&got));
+      ASSERT_EQ(got, model.Scan(n.ns)) << "op " << i;
+    } else if (op < 84) {
+      std::vector<std::string> got;
+      store.ScanAll(real_view(&got));
+      ASSERT_EQ(got, model.ScanAll()) << "op " << i;
+    } else if (op < 90) {
+      store.Remove(n);
+      model.Remove(n);
+    } else if (op < 91) {
+      store.DropNamespace(n.ns);
+      model.DropNamespace(n.ns);
+    } else {
+      store.DropExpired();
+      model.DropExpired();
+    }
+    ASSERT_EQ(real_hooks, model_hooks) << "op " << i;
+    real_hooks.clear();
+    model_hooks.clear();
+    ASSERT_EQ(store.TotalObjects(), model.TotalObjects()) << "op " << i;
+    ASSERT_EQ(store.TotalBytes(), model.TotalBytes()) << "op " << i;
+    for (const std::string& ns : spaces)
+      ASSERT_EQ(store.NamespaceObjects(ns), model.Objects(ns)) << "op " << i;
+  }
+  std::vector<std::string> got;
+  store.ScanAll(real_view(&got));
+  EXPECT_EQ(got, model.ScanAll());
+  EXPECT_GT(got.size(), 0u) << "the sequence should end with live objects";
 }
 
 }  // namespace

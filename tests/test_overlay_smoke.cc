@@ -56,7 +56,7 @@ TEST(OverlaySmoke, SendDeliversToOwnerWithNewData) {
   // Find who owns ("t","key") and watch newData fire there.
   int delivered_at = -1;
   for (uint32_t i = 0; i < net.size(); ++i) {
-    net.dht(i)->OnNewData("t", [&, i](const ObjectName& name, std::string_view v) {
+    net.dht(i)->OnNewData("t", [&, i](ObjectNameView name, std::string_view v) {
       if (name.key == "key" && v == "payload") delivered_at = static_cast<int>(i);
     });
   }

@@ -242,6 +242,114 @@ TEST(QpE2E, RehashSymmetricHashJoin) {
   }
 }
 
+// A Bloom-filtered rehash join, end to end: every node holding S rows
+// publishes a filter, the rendezvous owner merges the partials that reach it
+// into one object (removing each partial as it folds it in), and R rows are
+// probed against the merged filter before they are rehashed. The owner-side
+// merge once read the partial's name after removing it; the sanitizer build
+// catches that here.
+TEST(QpE2E, BloomJoinMergesFiltersAtTheOwner) {
+  SimPier net(10, PierOptions(59));
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("r").LocalOnly()).ok());
+  ASSERT_TRUE(net.catalog()->Register(TableSpec("s").PartitionBy({"y"})).ok());
+  for (int i = 0; i < 24; ++i) {
+    Tuple t("r");
+    t.Append("a", Value::Int64(i));
+    t.Append("x", Value::Int64(i < 6 ? i : 1000 + i));  // 6 rows can match
+    ASSERT_TRUE(net.client(i % net.size())->Publish("r", t).ok());
+  }
+  for (int i = 0; i < 12; ++i) {
+    Tuple t("s");
+    t.Append("b", Value::Int64(100 + i));
+    t.Append("y", Value::Int64(i));
+    ASSERT_TRUE(net.client((i + 3) % net.size())->Publish("s", t).ok());
+  }
+  net.RunFor(3 * kSecond);
+
+  QueryPlan plan;
+  plan.query_id = 5901;
+  plan.timeout = 14 * kSecond;
+  const std::string jns = "q5901.join", fns = "q5901.bloom";
+  {
+    OpGraph& g = plan.AddGraph();  // S side: filter on y, rehash on y
+    OpSpec& scan = g.AddOp(OpKind::kScan);
+    scan.Set("ns", "s");
+    uint32_t scan_id = scan.id;
+    OpSpec& bc = g.AddOp(OpKind::kBloomCreate);
+    bc.Set("col", "y");
+    bc.Set("ns", fns);
+    bc.SetInt("bits", 4096);
+    g.Connect(scan_id, bc.id, 0);
+    OpSpec& put = g.AddOp(OpKind::kPut);
+    put.Set("ns", jns);
+    put.Set("key", "y");
+    g.Connect(scan_id, put.id, 0);
+  }
+  {
+    OpGraph& g = plan.AddGraph();  // R side: probe on x, rehash survivors
+    OpSpec& scan = g.AddOp(OpKind::kScan);
+    scan.Set("ns", "r");
+    uint32_t scan_id = scan.id;
+    OpSpec& bp = g.AddOp(OpKind::kBloomProbe);
+    bp.Set("col", "x");
+    bp.Set("ns", fns);
+    bp.SetInt("wait_ms", 6000);
+    uint32_t bp_id = bp.id;
+    g.Connect(scan_id, bp_id, 0);
+    OpSpec& put = g.AddOp(OpKind::kPut);
+    put.Set("ns", jns);
+    put.Set("key", "x");
+    g.Connect(bp_id, put.id, 0);
+  }
+  {
+    OpGraph& g = plan.AddGraph();
+    g.flush_stage = 1;
+    OpSpec& nd = g.AddOp(OpKind::kNewData);
+    nd.Set("ns", jns);
+    uint32_t nd_id = nd.id;
+    OpSpec& shj = g.AddOp(OpKind::kSymHashJoin);
+    shj.Set("l_key", "x");
+    shj.Set("r_key", "y");
+    shj.Set("l_table", "r");
+    shj.Set("r_table", "s");
+    uint32_t shj_id = shj.id;
+    g.Connect(nd_id, shj_id, 0);
+    OpSpec& res = g.AddOp(OpKind::kResult);
+    g.Connect(shj_id, res.id, 0);
+  }
+
+  auto q = net.client(2)->Query(std::move(plan));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  std::vector<std::pair<int64_t, int64_t>> matches;  // (a, b)
+  q->OnTuple([&](const Tuple& t) {
+    ASSERT_TRUE(t.Has("a"));
+    ASSERT_TRUE(t.Has("b"));
+    matches.emplace_back(t.Get("a")->int64_unchecked(),
+                         t.Get("b")->int64_unchecked());
+  });
+  EXPECT_TRUE(q->Wait().ok());
+
+  std::sort(matches.begin(), matches.end());
+  ASSERT_EQ(matches.size(), 6u);
+  for (int i = 0; i < 6; ++i) {
+    EXPECT_EQ(matches[i].first, i);
+    EXPECT_EQ(matches[i].second, 100 + i);
+  }
+  // The owner folded the partials into exactly one merged filter object.
+  size_t merged = 0, partials = 0;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    for (const auto* obj : net.dht(i)->objects()->Get(fns, "filter")) {
+      if (obj->suffix() == "!merged") {
+        merged++;
+      } else {
+        partials++;
+      }
+    }
+  }
+  EXPECT_EQ(merged, 1u);
+  EXPECT_EQ(partials, 0u);
+}
+
 TEST(QpE2E, FetchMatchesJoinViaPrimaryIndex) {
   SimPier net(10, PierOptions(67));
   ASSERT_TRUE(
@@ -335,7 +443,7 @@ TEST(QpE2E, SubmitStampsAnAbsoluteDeadlineOntoDisseminatedPlans) {
   std::vector<uint64_t> subs;
   for (uint32_t i = 0; i < net.size(); ++i) {
     subs.push_back(net.dht(i)->OnNewData(
-        "!dissem", [&](const ObjectName&, std::string_view blob) {
+        "!dissem", [&](ObjectNameView, std::string_view blob) {
           auto p = QueryPlan::Decode(blob);
           if (p.ok()) seen_deadline = p->deadline_us;
         }));

@@ -220,7 +220,7 @@ TEST(Replication, JoiningNodePullsTheReplicatedRangeItNowOwns) {
   size_t total = 0;
   for (uint32_t i = 0; i < net.size(); ++i) {
     if (!net.harness()->IsAlive(i)) continue;
-    net.dht(i)->LocalScan("jp", [&](const ObjectName&, std::string_view) {
+    net.dht(i)->LocalScan("jp", [&](ObjectNameView, std::string_view) {
       total++;
     });
   }
@@ -277,7 +277,7 @@ TEST(Replication, LocalScansSeeEachReplicatedObjectExactlyOnce) {
   size_t visible = 0;
   uint64_t suppressed = 0, stored = 0;
   for (uint32_t i = 0; i < net.size(); ++i) {
-    net.dht(i)->LocalScan("sc", [&](const ObjectName&, std::string_view) {
+    net.dht(i)->LocalScan("sc", [&](ObjectNameView, std::string_view) {
       visible++;
     });
     suppressed += net.dht(i)->stats().suppressed_scan_rows;
