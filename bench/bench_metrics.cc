@@ -25,19 +25,29 @@
 //
 // PIER_BENCH_JSON=<path> writes the (virtual-time deterministic) metrics as
 // JSON; CI diffs it against the committed bench/BENCH_metrics.json.
+//
+// Print-only: the heap bytes one node's registry costs, as the glibc in-use
+// delta over fresh registries given every node collector. Not in the JSON;
+// the bench-smoke log carries it as a trajectory.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "obs/metrics.h"
+#include "obs/node_metrics.h"
 #include "obs/scrape.h"
 #include "qp/sim_pier.h"
+
+#if defined(__GLIBC__)  // defined by the libc headers included above
+#include <malloc.h>
+#endif
 
 namespace pier {
 namespace {
@@ -125,6 +135,29 @@ WireCount CountWire(SimPier* net) {
       if (s.name == "pier_query_answer_bytes") w.answer_bytes += s.sum;
   }
   return w;
+}
+
+void NoteRegistryFootprint(SimPier* net) {
+#if defined(__GLIBC__)
+  constexpr size_t kRegistries = 50;
+  std::vector<std::unique_ptr<MetricsRegistry>> regs;
+  regs.reserve(kRegistries);
+  size_t before = mallinfo2().uordblks;
+  for (size_t i = 0; i < kRegistries; ++i) {
+    regs.push_back(std::make_unique<MetricsRegistry>());
+    RegisterNodeMetrics(regs.back().get(), net->qp(0));
+  }
+  size_t after = mallinfo2().uordblks;
+  // RegisterNodeMetrics re-pointed the processor at the last registry.
+  net->qp(0)->set_metrics(net->metrics(0));
+  size_t per_registry = (after - before) / kRegistries;
+  bench::Note("registry heap: " + std::to_string(per_registry) +
+              " B per node registry (" +
+              std::to_string(regs.front()->num_families()) +
+              " families; print-only)");
+#else
+  (void)net;
+#endif
 }
 
 void Run() {
@@ -363,6 +396,7 @@ void Run() {
     }
   }
 
+  NoteRegistryFootprint(&net);
   if (failures == 0)
     bench::Note("self-check passed: scrape, sys.metrics and explain-analyze "
                 "all agree with independent counts.");

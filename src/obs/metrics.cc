@@ -4,6 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <set>
+#include <tuple>
 
 namespace pier {
 
@@ -48,6 +50,14 @@ std::string FormatDouble(double v) {
 MetricLabels Canonical(MetricLabels labels) {
   std::sort(labels.begin(), labels.end());
   return labels;
+}
+
+/// The first family whose name is not less than `name` (the table is sorted).
+template <typename Families>
+auto LowerBound(Families& families, const std::string& name) {
+  return std::lower_bound(
+      families.begin(), families.end(), name,
+      [](const auto& f, const std::string& n) { return f.info->name < n; });
 }
 
 const char* KindName(MetricKind k) {
@@ -116,28 +126,97 @@ double Histogram::sum() const {
   return v;
 }
 
-MetricsRegistry::Series* MetricsRegistry::FindOrCreate(
+// Process-wide interning of family names and help text: every node's
+// registry registers the same ~54 families, so each (name, kind, help) is
+// stored once and registries keep a pointer. Label values are never interned;
+// they are unbounded (qids). Leaked on purpose: a registry destroyed during
+// static destruction must still find its names.
+class MetricsRegistry::NamePool {
+ public:
+  static NamePool& Get() {
+    static NamePool* pool = new NamePool;
+    return *pool;
+  }
+
+  const FamilyInfo* Intern(const std::string& name, const std::string& help,
+                           MetricKind kind) {
+    MutexLock lock(mu_);
+    auto it = infos_.find(std::tie(name, kind, help));
+    if (it == infos_.end()) {
+      it = infos_.insert(FamilyInfo{name, help, kind}).first;
+    }
+    return &*it;
+  }
+
+ private:
+  using Key = std::tuple<const std::string&, const MetricKind&,
+                         const std::string&>;
+  static Key KeyOf(const FamilyInfo& f) {
+    return std::tie(f.name, f.kind, f.help);
+  }
+  struct Less {
+    using is_transparent = void;
+    bool operator()(const FamilyInfo& a, const FamilyInfo& b) const {
+      return KeyOf(a) < KeyOf(b);
+    }
+    bool operator()(const FamilyInfo& a, const Key& b) const {
+      return KeyOf(a) < b;
+    }
+    bool operator()(const Key& a, const FamilyInfo& b) const {
+      return a < KeyOf(b);
+    }
+  };
+
+  Mutex mu_;
+  std::set<FamilyInfo, Less> infos_ PIER_GUARDED_BY(mu_);
+};
+
+MetricsRegistry::Family* MetricsRegistry::Find(const std::string& name) {
+  auto it = LowerBound(families_, name);
+  return it != families_.end() && it->info->name == name ? &*it : nullptr;
+}
+
+const MetricsRegistry::Family* MetricsRegistry::Find(
+    const std::string& name) const {
+  auto it = LowerBound(families_, name);
+  return it != families_.end() && it->info->name == name ? &*it : nullptr;
+}
+
+MetricsRegistry::Family* MetricsRegistry::FindOrAddFamily(
+    const std::string& name, MetricKind kind, const std::string& help) {
+  auto it = LowerBound(families_, name);
+  if (it != families_.end() && it->info->name == name) {
+    return it->info->kind == kind ? &*it : nullptr;  // mismatch: a sink
+  }
+  it = families_.insert(
+      it, Family{NamePool::Get().Intern(name, help, kind), nullptr, nullptr});
+  return &*it;
+}
+
+bool MetricsRegistry::HasRoom(const Family& fam) {
+  size_t n = (fam.inline_fn ? 1 : 0) + (fam.more ? fam.more->size() : 0);
+  if (n < max_series_per_family_) return true;
+  dropped_series_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+MetricsRegistry::Series* MetricsRegistry::FindOrAddSeries(
     const std::string& name, MetricKind kind, const MetricLabels& labels,
     const std::string& help, bool* created) {
   *created = false;
+  Family* fam = FindOrAddFamily(name, kind, help);
+  if (fam == nullptr) return nullptr;
   MetricLabels key = Canonical(labels);
-  auto [it, fresh] = families_.try_emplace(name);
-  Family& fam = it->second;
-  if (fresh) {
-    fam.kind = kind;
-    fam.help = help;
-  } else if (fam.kind != kind) {
-    return nullptr;  // kind mismatch: caller hands out a sink
+  if (key.empty() && fam->inline_fn) return nullptr;
+  if (fam->more) {
+    for (Series& s : *fam->more) {
+      if (!s.retired && s.labels == key) return &s;
+    }
   }
-  for (Series& s : fam.series) {
-    if (!s.retired && s.labels == key) return &s;
-  }
-  if (fam.series.size() >= max_series_per_family_) {
-    dropped_series_.fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  fam.series.emplace_back();
-  Series& s = fam.series.back();
+  if (!HasRoom(*fam)) return nullptr;
+  if (!fam->more) fam->more = std::make_unique<std::vector<Series>>();
+  fam->more->emplace_back();
+  Series& s = fam->more->back();
   s.labels = std::move(key);
   *created = true;
   return &s;
@@ -148,7 +227,8 @@ Counter* MetricsRegistry::GetCounter(const std::string& name,
                                      const std::string& help) {
   MutexLock lock(mu_);
   bool created = false;
-  Series* s = FindOrCreate(name, MetricKind::kCounter, labels, help, &created);
+  Series* s =
+      FindOrAddSeries(name, MetricKind::kCounter, labels, help, &created);
   if (s == nullptr) return &sink_counter_;
   if (created) s->counter = std::make_unique<Counter>();
   if (!s->counter) return &sink_counter_;  // name exists as a callback series
@@ -160,7 +240,7 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name,
                                  const std::string& help) {
   MutexLock lock(mu_);
   bool created = false;
-  Series* s = FindOrCreate(name, MetricKind::kGauge, labels, help, &created);
+  Series* s = FindOrAddSeries(name, MetricKind::kGauge, labels, help, &created);
   if (s == nullptr) return &sink_gauge_;
   if (created) s->gauge = std::make_unique<Gauge>();
   if (!s->gauge) return &sink_gauge_;
@@ -175,38 +255,63 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   MutexLock lock(mu_);
   bool created = false;
   Series* s =
-      FindOrCreate(name, MetricKind::kHistogram, labels, help, &created);
+      FindOrAddSeries(name, MetricKind::kHistogram, labels, help, &created);
   if (s == nullptr) return &sink_histogram;
   if (created) s->histogram = std::make_unique<Histogram>(std::move(bounds));
   if (!s->histogram) return &sink_histogram;
   return s->histogram.get();
 }
 
+void MetricsRegistry::AddFn(const std::string& name, MetricKind kind,
+                            const MetricLabels& labels, ValueFn fn,
+                            const std::string& help) {
+  MutexLock lock(mu_);
+  if (labels.empty()) {
+    Family* fam = FindOrAddFamily(name, kind, help);
+    if (fam == nullptr) return;
+    if (fam->inline_fn) {
+      // Re-registration replaces the callback. An empty one reads 0, as a
+      // series with neither callback nor instrument does.
+      fam->inline_fn = fn ? std::move(fn) : ValueFn([] { return 0.0; });
+      return;
+    }
+    if (!fam->more && fn) {  // the family's first series: stored inline
+      if (HasRoom(*fam)) fam->inline_fn = std::move(fn);
+      return;
+    }
+  }
+  bool created = false;
+  Series* s = FindOrAddSeries(name, kind, labels, help, &created);
+  if (s != nullptr) s->fn = std::move(fn);
+}
+
 void MetricsRegistry::AddCounterFn(const std::string& name,
                                    const MetricLabels& labels, ValueFn fn,
                                    const std::string& help) {
-  MutexLock lock(mu_);
-  bool created = false;
-  Series* s = FindOrCreate(name, MetricKind::kCounter, labels, help, &created);
-  if (s != nullptr) s->fn = std::move(fn);
+  AddFn(name, MetricKind::kCounter, labels, std::move(fn), help);
 }
 
 void MetricsRegistry::AddGaugeFn(const std::string& name,
                                  const MetricLabels& labels, ValueFn fn,
                                  const std::string& help) {
-  MutexLock lock(mu_);
-  bool created = false;
-  Series* s = FindOrCreate(name, MetricKind::kGauge, labels, help, &created);
-  if (s != nullptr) s->fn = std::move(fn);
+  AddFn(name, MetricKind::kGauge, labels, std::move(fn), help);
 }
 
 bool MetricsRegistry::Remove(const std::string& name,
                              const MetricLabels& labels) {
   MutexLock lock(mu_);
-  auto it = families_.find(name);
-  if (it == families_.end()) return false;
+  Family* fam = Find(name);
+  if (fam == nullptr) return false;
   MetricLabels key = Canonical(labels);
-  for (Series& s : it->second.series) {
+  if (key.empty() && fam->inline_fn) {
+    fam->inline_fn = nullptr;
+    if (!fam->more) fam->more = std::make_unique<std::vector<Series>>();
+    fam->more->emplace_back();
+    fam->more->back().retired = true;
+    return true;
+  }
+  if (!fam->more) return false;
+  for (Series& s : *fam->more) {
     if (!s.retired && s.labels == key) {
       s.retired = true;
       s.fn = nullptr;
@@ -227,13 +332,21 @@ std::vector<MetricSample> MetricsRegistry::Snapshot() const {
         static_cast<double>(dropped_series_.load(std::memory_order_relaxed));
     out.push_back(std::move(drop));
   }
-  for (const auto& [name, fam] : families_) {
-    for (const Series& s : fam.series) {
+  for (const Family& fam : families_) {
+    if (fam.inline_fn) {
+      MetricSample sample;
+      sample.name = fam.info->name;
+      sample.kind = fam.info->kind;
+      sample.value = fam.inline_fn();
+      out.push_back(std::move(sample));
+    }
+    if (!fam.more) continue;
+    for (const Series& s : *fam.more) {
       if (s.retired) continue;
       MetricSample sample;
-      sample.name = name;
+      sample.name = fam.info->name;
       sample.labels = s.labels;
-      sample.kind = fam.kind;
+      sample.kind = fam.info->kind;
       if (s.fn) {
         sample.value = s.fn();
       } else if (s.counter) {
@@ -268,16 +381,16 @@ std::string MetricsRegistry::RenderText() const {
   std::string out;
   out.reserve(samples.size() * 64);
   std::string last_family;
-  // Snapshot() iterates a std::map, so samples arrive grouped by family
-  // (the synthetic dropped-series counter leads and is its own family).
+  // Snapshot() walks the name-sorted family table, so samples arrive grouped
+  // by family (the synthetic dropped-series counter leads and is its own).
   MutexLock lock(mu_);
   for (const MetricSample& s : samples) {
     if (s.name != last_family) {
       last_family = s.name;
-      auto it = families_.find(s.name);
-      const std::string* help =
-          it != families_.end() && !it->second.help.empty() ? &it->second.help
-                                                            : nullptr;
+      const Family* fam = Find(s.name);
+      const std::string* help = fam != nullptr && !fam->info->help.empty()
+                                    ? &fam->info->help
+                                    : nullptr;
       if (help != nullptr) {
         out += "# HELP ";
         out += s.name;
@@ -332,11 +445,13 @@ size_t MetricsRegistry::num_families() const {
 
 size_t MetricsRegistry::num_series(const std::string& name) const {
   MutexLock lock(mu_);
-  auto it = families_.find(name);
-  if (it == families_.end()) return 0;
-  size_t n = 0;
-  for (const Series& s : it->second.series) {
-    if (!s.retired) ++n;
+  const Family* fam = Find(name);
+  if (fam == nullptr) return 0;
+  size_t n = fam->inline_fn ? 1 : 0;
+  if (fam->more) {
+    for (const Series& s : *fam->more) {
+      if (!s.retired) ++n;
+    }
   }
   return n;
 }

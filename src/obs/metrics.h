@@ -22,6 +22,13 @@
 // Subsystems whose counters already live in a Stats struct export through
 // callback-backed families instead (AddCounterFn/AddGaugeFn): zero cost on
 // their hot paths, read at snapshot time, one source of truth.
+//
+// Memory: every simulated node owns a registry, so a family costs only its
+// value source. Names and help text are interned once per process; families
+// sit in one name-sorted flat vector; a family's first series, when it is a
+// label-less callback (every node collector), is held inline. Only labeled
+// or instrument-backed series get storage of their own (src/obs/README.md,
+// "Registry memory").
 
 #ifndef PIER_OBS_METRICS_H_
 #define PIER_OBS_METRICS_H_
@@ -29,7 +36,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -182,6 +188,9 @@ class MetricsRegistry {
   size_t num_series(const std::string& name) const;
 
  private:
+  /// A series with storage of its own: labeled, instrument-backed, or not a
+  /// family's first. Each instrument sits behind a unique_ptr, so growth of
+  /// the family's series vector never moves an instrument handed out.
   struct Series {
     MetricLabels labels;
     std::unique_ptr<Counter> counter;
@@ -190,20 +199,42 @@ class MetricsRegistry {
     ValueFn fn;          // callback-backed series use this instead
     bool retired = false;
   };
-  struct Family {
-    MetricKind kind = MetricKind::kCounter;
+  /// A family's name, help and kind. Interned once per process in the
+  /// NamePool and shared by every registry; never freed.
+  struct FamilyInfo {
+    std::string name;
     std::string help;
-    /// Each Series owns its instrument through a unique_ptr, so growth
-    /// never moves an instrument handed out.
-    std::vector<Series> series;
+    MetricKind kind;
+  };
+  class NamePool;
+  struct Family {
+    const FamilyInfo* info;
+    /// The family's first series when it is label-less and callback-backed:
+    /// live while non-empty. Retiring it leaves a retired entry in `more`,
+    /// so the cap and the registration order still see it.
+    ValueFn inline_fn;
+    /// Every other series in registration order; null until the first.
+    std::unique_ptr<std::vector<Series>> more;
   };
 
-  Series* FindOrCreate(const std::string& name, MetricKind kind,
-                       const MetricLabels& labels, const std::string& help,
-                       bool* created) PIER_REQUIRES(mu_);
+  Family* Find(const std::string& name) PIER_REQUIRES(mu_);
+  const Family* Find(const std::string& name) const PIER_REQUIRES(mu_);
+  /// The family `name`, added when absent; null on a kind mismatch.
+  Family* FindOrAddFamily(const std::string& name, MetricKind kind,
+                          const std::string& help) PIER_REQUIRES(mu_);
+  /// The out-of-line series for `labels`, added when absent. Null on a kind
+  /// mismatch, when the inline callback owns the empty label set, or when
+  /// the family is full.
+  Series* FindOrAddSeries(const std::string& name, MetricKind kind,
+                          const MetricLabels& labels, const std::string& help,
+                          bool* created) PIER_REQUIRES(mu_);
+  /// Counts a refused series when `fam` is at the per-family cap.
+  bool HasRoom(const Family& fam) PIER_REQUIRES(mu_);
+  void AddFn(const std::string& name, MetricKind kind,
+             const MetricLabels& labels, ValueFn fn, const std::string& help);
 
   mutable Mutex mu_;
-  std::map<std::string, Family> families_ PIER_GUARDED_BY(mu_);
+  std::vector<Family> families_ PIER_GUARDED_BY(mu_);  // sorted by name
   size_t max_series_per_family_ PIER_GUARDED_BY(mu_) = 1024;
   std::atomic<uint64_t> dropped_series_{0};
   /// Overflow / kind-mismatch sinks: writes go somewhere harmless.

@@ -8,14 +8,21 @@
 //             into the DHT under a partitioning key (§3.3.6).
 //   result    the result handler: forwards answer tuples to the proxy.
 
-#include <unordered_set>
-
 #include "qp/dataflow.h"
 #include "util/hash.h"
 #include "util/logging.h"
+#include "util/u64_set.h"
 
 namespace pier {
 namespace {
+
+/// Scan + watch can see the same object twice (stored mid-scan); dedup by
+/// the object's *identity* (key + suffix), never by content — distinct
+/// publishers legitimately produce byte-identical tuples. True the first
+/// time `name` is seen.
+bool AdmitOnce(U64Set* seen, ObjectNameView name) {
+  return seen->Insert(HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix)));
+}
 
 /// scan[ns=<table>, watch=0|1]: deliver every local tuple of a namespace.
 /// The access method decodes stored objects into tuples; malformed objects
@@ -61,7 +68,7 @@ class ScanOp : public Operator {
               suppressed_++;
               return;
             }
-            if (!Admit(name)) return;
+            if (!AdmitOnce(&seen_, name)) return;
             if (!batches.AddEncoded(value).ok()) {
               malformed_++;
               return;
@@ -88,16 +95,8 @@ class ScanOp : public Operator {
   }
 
  private:
-  /// Scan + watch can see the same object twice (stored mid-scan); dedup by
-  /// the object's *identity* (key + suffix), never by content — distinct
-  /// publishers legitimately produce byte-identical tuples.
-  bool Admit(ObjectNameView name) {
-    uint64_t h = HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix));
-    return seen_.insert(h).second;
-  }
-
   void Deliver(ObjectNameView name, std::string_view value) {
-    if (!Admit(name)) return;
+    if (!AdmitOnce(&seen_, name)) return;
     Result<Tuple> t = Tuple::Decode(value);
     if (!t.ok()) {
       malformed_++;
@@ -115,7 +114,7 @@ class ScanOp : public Operator {
     BatchAssembler batches;
     size_t rows = 0;
     for (const Dht::NewDataEvent& ev : events) {
-      if (!Admit(ev.name)) continue;
+      if (!AdmitOnce(&seen_, ev.name)) continue;
       if (!batches.AddEncoded(ev.value).ok()) {
         malformed_++;
         continue;
@@ -133,7 +132,7 @@ class ScanOp : public Operator {
   uint64_t malformed_ = 0;
   uint64_t suppressed_ = 0;
   TimeUs floor_ = 0;
-  std::unordered_set<uint64_t> seen_;
+  U64Set seen_;
 };
 
 /// newdata[ns=<name>]: subscription only — the consuming half of a DHT
@@ -178,7 +177,7 @@ class NewDataOp : public Operator {
                 suppressed_++;
                 return;
               }
-              if (!Admit(name)) return;
+              if (!AdmitOnce(&seen_, name)) return;
               if (!batches.AddEncoded(value).ok()) return;
               rows++;
             });
@@ -203,13 +202,8 @@ class NewDataOp : public Operator {
   }
 
  private:
-  bool Admit(ObjectNameView name) {
-    uint64_t h = HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix));
-    return seen_.insert(h).second;
-  }
-
   void Deliver(ObjectNameView name, std::string_view value) {
-    if (!Admit(name)) return;
+    if (!AdmitOnce(&seen_, name)) return;
     Result<Tuple> t = Tuple::Decode(value);
     if (!t.ok()) return;
     stats_.consumed++;
@@ -224,7 +218,7 @@ class NewDataOp : public Operator {
     BatchAssembler batches;
     size_t rows = 0;
     for (const Dht::NewDataEvent& ev : events) {
-      if (!Admit(ev.name)) continue;
+      if (!AdmitOnce(&seen_, ev.name)) continue;
       if (!batches.AddEncoded(ev.value).ok()) continue;
       rows++;
     }
@@ -238,7 +232,7 @@ class NewDataOp : public Operator {
   uint64_t timer_ = 0;
   uint64_t suppressed_ = 0;
   TimeUs floor_ = 0;
-  std::unordered_set<uint64_t> seen_;
+  U64Set seen_;
 };
 
 /// put[ns=<name>, key=<attrs>, mode=put|send]: the distributed Exchange.

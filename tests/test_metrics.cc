@@ -7,15 +7,33 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <fstream>
 #include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
+
+#if defined(__GLIBC__)  // defined by the libc headers included above
+#include <malloc.h>
+#endif
 
 #include "obs/metrics.h"
 #include "obs/node_metrics.h"
 #include "obs/scrape.h"
 #include "qp/sim_pier.h"
+
+// Sanitizer allocators pad and quarantine blocks, so heap-byte gates only
+// mean something in a plain build.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define PIER_SANITIZED_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define PIER_SANITIZED_HEAP 1
+#endif
+#endif
 
 namespace pier {
 namespace {
@@ -143,6 +161,24 @@ TEST(MetricsRegistry, RenderTextExposesHelpTypeAndEscaping) {
   EXPECT_NE(text.find("} 2\n"), std::string::npos);
 }
 
+TEST(MetricsRegistry, SameNameKeepsEachRegistrysHelpAndKind) {
+  // Names are interned process-wide; help and kind must still be each
+  // registry's own.
+  MetricsRegistry a, b, c;
+  a.GetCounter("pier_shared_name", {}, "first help")->Inc();
+  b.GetGauge("pier_shared_name", {}, "second help")->Set(3);
+  c.GetCounter("pier_shared_name", {}, "third help")->Inc();
+  EXPECT_NE(a.RenderText().find("# HELP pier_shared_name first help\n"
+                                "# TYPE pier_shared_name counter\n"),
+            std::string::npos);
+  EXPECT_NE(b.RenderText().find("# HELP pier_shared_name second help\n"
+                                "# TYPE pier_shared_name gauge\n"),
+            std::string::npos);
+  EXPECT_NE(c.RenderText().find("# HELP pier_shared_name third help\n"
+                                "# TYPE pier_shared_name counter\n"),
+            std::string::npos);
+}
+
 TEST(MetricsRegistry, SnapshotConsistentUnderConcurrentUpdates) {
   MetricsRegistry reg;
   Counter* c = reg.GetCounter("pier_cc_total");
@@ -174,6 +210,76 @@ TEST(MetricsRegistry, SnapshotConsistentUnderConcurrentUpdates) {
   uint64_t total = 0;
   for (uint64_t b : per_bucket) total += b;
   EXPECT_EQ(total, uint64_t{kThreads} * kPerThread);
+}
+
+// Several threads build registries over the same family names at once: the
+// process-wide name pool must hand every registry the same names and help,
+// and label values (one per thread here) must stay per registry.
+TEST(MetricsRegistry, ConcurrentRegistriesShareInternedNames) {
+  constexpr int kThreads = 4;
+  constexpr int kRegistriesPerThread = 25;
+  constexpr int kFamilies = 24;
+  auto build = [](MetricsRegistry* reg, int thread) {
+    for (int f = 0; f < kFamilies; ++f) {
+      reg->AddCounterFn("pier_intern_f" + std::to_string(f) + "_total", {},
+                        [f] { return static_cast<double>(f); },
+                        "interned family " + std::to_string(f));
+    }
+    reg->GetCounter("pier_intern_labeled_total",
+                    {{"thread", std::to_string(thread)}}, "one per thread")
+        ->Inc(static_cast<uint64_t>(thread) + 1);
+  };
+  std::vector<std::vector<std::string>> renders(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&build, &renders, t] {
+      for (int i = 0; i < kRegistriesPerThread; ++i) {
+        MetricsRegistry reg;
+        build(&reg, t);
+        renders[t].push_back(reg.RenderText());
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (int t = 0; t < kThreads; ++t) {
+    MetricsRegistry reference;
+    build(&reference, t);
+    std::string want = reference.RenderText();
+    EXPECT_NE(want.find("{thread=\"" + std::to_string(t) + "\"}"),
+              std::string::npos);
+    ASSERT_EQ(renders[t].size(), static_cast<size_t>(kRegistriesPerThread));
+    for (const std::string& got : renders[t]) EXPECT_EQ(got, want);
+  }
+}
+
+// A node's registry is a fixed cost every simulated node pays: the 54
+// families RegisterNodeMetrics installs must fit in 4 KB of heap, measured
+// as the allocator's in-use delta over many fresh registries.
+TEST(MetricsFootprint, NodeRegistryFitsInFourKilobytes) {
+#if defined(PIER_SANITIZED_HEAP)
+  GTEST_SKIP() << "sanitizer allocators distort heap-byte counts";
+#elif !defined(__GLIBC__)
+  GTEST_SKIP() << "mallinfo2 is glibc-only";
+#else
+  SimPier net(2, PierOptions(606));
+  QueryProcessor* qp = net.qp(0);
+  constexpr size_t kRegistries = 200;
+  std::vector<std::unique_ptr<MetricsRegistry>> regs;
+  regs.reserve(kRegistries);
+  size_t before = mallinfo2().uordblks;
+  for (size_t i = 0; i < kRegistries; ++i) {
+    regs.push_back(std::make_unique<MetricsRegistry>());
+    RegisterNodeMetrics(regs.back().get(), qp);
+  }
+  size_t after = mallinfo2().uordblks;
+  // RegisterNodeMetrics re-pointed the processor at the last registry.
+  qp->set_metrics(net.metrics(0));
+  ASSERT_EQ(regs.front()->num_families(), 54u);
+  double per_registry =
+      static_cast<double>(after - before) / static_cast<double>(kRegistries);
+  RecordProperty("bytes_per_registry", static_cast<int>(per_registry));
+  EXPECT_LE(per_registry, 4096.0);
+#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -220,6 +326,100 @@ TEST(MetricsEndpoint, ScrapeRoundTripInSimulation) {
       static_cast<SimPier::PierNode*>(net.harness()->program(1));
   ASSERT_NE(node->endpoint(), nullptr);
   EXPECT_EQ(node->endpoint()->stats().scrapes, 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Rendering golden: two live nodes' RenderText, byte for byte
+// ---------------------------------------------------------------------------
+
+// A fixed-seed 6-node cluster after a publish, a snapshot query and a
+// continuous query whose proxy dies, so the rendering covers help/type
+// headers, the answer-bytes histogram, a qid-labeled series and the labeled
+// executor counters. The golden was recorded before the registry's storage
+// was rebuilt; any HELP, TYPE, ordering or escaping drift fails here.
+// PIER_UPDATE_GOLDEN=1 rewrites the file instead of comparing.
+TEST(MetricsRender, TwoNodesMatchGolden) {
+  SimPier::Options opts = PierOptions(515);
+  opts.metrics_port = 9100;
+  SimPier net(6, opts);
+  ASSERT_TRUE(net.catalog()
+                  ->Register(TableSpec("ev").PartitionBy({"k"}))
+                  .ok());
+  for (int i = 0; i < 24; ++i) {
+    Tuple t("ev");
+    t.Append("k", Value::Int64(i));
+    t.Append("src", Value::String(i % 2 == 0 ? "even" : "odd"));
+    ASSERT_TRUE(net.client(i % 6)->Publish("ev", t).ok());
+  }
+  net.RunFor(2 * kSecond);
+
+  auto snap = net.client(1)->Query(Sql("SELECT * FROM ev TIMEOUT 5s"));
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+  EXPECT_EQ(snap->Collect().size(), 24u);
+
+  // A continuous query proxied by node 5 with no successor: once node 5
+  // dies, the surviving executors probe it (verdict "dead") and reap.
+  constexpr TimeUs kLease = 2 * kSecond;
+  auto cont = net.client(5)->Query(
+      Sql("SELECT src, count(*) AS cnt FROM ev GROUP BY src TIMEOUT 60s "
+          "WINDOW 2s CONTINUOUS")
+          .WithLeasePeriod(kLease));
+  ASSERT_TRUE(cont.ok()) << cont.status().ToString();
+  net.RunFor(3 * kSecond);
+  net.harness()->FailNode(5);
+  net.RunFor(3 * kLease);
+
+  std::string got;
+  for (uint32_t node : {0u, 1u}) {
+    got += "=== node " + std::to_string(node) + " ===\n";
+    got += net.metrics(node)->RenderText();
+  }
+  // Paths no node reaches: escaping, multi-label sort, a labeled histogram,
+  // fractional values, a retired and re-added series, the overflow counter.
+  MetricsRegistry reg;
+  reg.set_max_series_per_family(3);
+  reg.GetCounter("pier_z_total", {{"tag", "a\"b\\c\nd"}}, "escaped")->Inc(2);
+  reg.GetCounter("pier_z_total", {{"b", "2"}, {"a", "1"}})->Inc();
+  reg.GetGauge("pier_a_ratio", {}, "a fraction")->Set(0.1);
+  reg.AddGaugeFn("pier_a_ratio", {{"k", "v"}}, [] { return -2.5; });
+  reg.GetHistogram("pier_h_us", {1.5, 10}, {{"op", "x"}})->Observe(3);
+  reg.AddCounterFn("pier_cb_total", {}, [] { return 7.0; }, "callback");
+  reg.AddCounterFn("pier_cb_total", {{"k", "late"}}, [] { return 8.0; });
+  reg.AddGaugeFn("pier_cb_gauge", {}, [] { return 5.0; });
+  reg.GetGauge("pier_cb_gauge", {{"k", "x"}})->Set(6);
+  reg.GetGauge("pier_cb_gauge")->Set(99);  // the callback holds the name
+  ASSERT_TRUE(reg.Remove("pier_cb_total", {}));
+  reg.AddCounterFn("pier_cb_total", {}, [] { return 9.0; });
+  // The retired series still counts: this fourth one is over the cap.
+  reg.AddCounterFn("pier_cb_total", {{"k", "over"}}, [] { return 10.0; });
+  reg.AddGaugeFn("pier_e_gauge", {}, [] { return 4.0; });
+  reg.AddGaugeFn("pier_e_gauge", {}, nullptr);  // an empty callback reads 0
+  reg.AddCounterFn("pier_e_total", {}, nullptr);
+  reg.GetCounter("pier_z_total", {{"q", "3"}});
+  reg.GetCounter("pier_z_total", {{"q", "4"}})->Inc();  // over the cap
+  reg.GetGauge("pier_z_total")->Set(1);                 // kind mismatch
+  got += "=== synthetic ===\n";
+  got += reg.RenderText();
+  // The scenario must reach every rendering path the golden is meant to pin.
+  EXPECT_NE(got.find("pier_query_answer_bytes_bucket{le=\"+Inf\"}"),
+            std::string::npos);
+  EXPECT_NE(got.find("pier_query_answers_total{qid=\""), std::string::npos);
+  EXPECT_NE(got.find("pier_exec_probe_verdicts_total{verdict=\"dead\"}"),
+            std::string::npos);
+  EXPECT_NE(got.find("pier_exec_orphan_reaps_total{reason=\""),
+            std::string::npos);
+
+  const std::string path =
+      std::string(PIER_TEST_DATA_DIR) + "/metrics_render.golden";
+  if (std::getenv("PIER_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream(path, std::ios::binary) << got;
+    GTEST_SKIP() << "rewrote " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden " << path;
+  std::stringstream want;
+  want << in.rdbuf();
+  EXPECT_EQ(got, want.str());
 }
 
 // ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "util/bloom.h"
 #include "util/hash.h"
 #include "util/random.h"
+#include "util/u64_set.h"
 #include "util/wire.h"
 
 namespace pier {
@@ -319,6 +321,55 @@ TEST(Bloom, SerializeRoundTripAndMerge) {
   BloomFilter other_geometry(8192, 3);
   EXPECT_FALSE(back->Merge(other_geometry).ok());
   EXPECT_FALSE(BloomFilter::Deserialize("garbage").ok());
+}
+
+// ---------------------------------------------------------------------------
+// U64Set: same admit/reject sequence as std::unordered_set<uint64_t>
+// ---------------------------------------------------------------------------
+
+void ExpectSameInsertSequence(const std::vector<uint64_t>& values) {
+  U64Set set;
+  std::unordered_set<uint64_t> model;
+  for (size_t i = 0; i < values.size(); ++i) {
+    ASSERT_EQ(set.Insert(values[i]), model.insert(values[i]).second)
+        << "value " << values[i] << " at step " << i;
+  }
+  EXPECT_EQ(set.size(), model.size());
+}
+
+TEST(U64Set, RandomInsertsMatchUnorderedSet) {
+  Rng rng(91);
+  std::vector<uint64_t> values = {0, 0, ~uint64_t{0}, 1, ~uint64_t{0}};
+  for (int i = 0; i < 200000; ++i) {
+    // Half from a small range so repeats are common, half full-width.
+    values.push_back(i % 2 == 0 ? rng.Uniform(50000) : rng.Next());
+  }
+  values.push_back(0);
+  ExpectSameInsertSequence(values);
+}
+
+TEST(U64Set, CollidingInsertsMatchUnorderedSet) {
+  // Values whose products with the table's multiplier share their top 24
+  // bits all start probing at the same slot in every table up to 2^24
+  // slots, so each insert walks the whole cluster.
+  const uint64_t k = 0x9e3779b97f4a7c15ULL;
+  uint64_t k_inv = k;  // Newton's iteration for the inverse mod 2^64
+  for (int i = 0; i < 6; ++i) k_inv *= 2 - k * k_inv;
+  ASSERT_EQ(k * k_inv, 1u);
+  Rng rng(92);
+  std::vector<uint64_t> distinct;
+  for (int i = 0; i < 3000; ++i) {
+    uint64_t product =
+        (uint64_t{0xabcdef} << 40) | rng.Uniform(uint64_t{1} << 40);
+    distinct.push_back(product * k_inv);
+  }
+  std::vector<uint64_t> values = {~uint64_t{0}};
+  for (size_t i = 0; i < distinct.size(); ++i) {
+    values.push_back(distinct[i]);
+    values.push_back(distinct[i / 2]);  // a repeat of an earlier value
+    if (i % 500 == 0) values.push_back(0);
+  }
+  ExpectSameInsertSequence(values);
 }
 
 // ---------------------------------------------------------------------------
