@@ -5,8 +5,19 @@
 // random (node, identifier) pairs and report the mean delivery hop count,
 // plus the mean virtual-time latency of a two-phase get. The hop counts
 // should track log2(N)/2-ish for Chord and log16(N) for the prefix router.
+//
+// The get column measures COLD gets: each is issued by an origin that has
+// resolved no owner before (the first 50 of a shuffled node order), so the
+// router's owner-range cache cannot skip the lookup phase. The bench exits
+// nonzero if any get was answered from the cache.
+//
+// PIER_BENCH_SMOKE=1 stops at N = 1024 (the full run adds N = 4096).
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <numeric>
 
 #include "bench/bench_common.h"
 #include "overlay/sim_overlay.h"
@@ -17,6 +28,7 @@ namespace {
 struct Point {
   double mean_hops = 0;
   double get_ms = 0;
+  uint64_t cache_hits = 0;  // must stay 0: the gets are cold
 };
 
 Point Measure(uint32_t n, ProtocolKind kind, uint64_t seed) {
@@ -44,12 +56,18 @@ Point Measure(uint32_t n, ProtocolKind kind, uint64_t seed) {
   }
 
   // Two-phase gets: measure virtual latency (issued concurrently so large
-  // networks don't spend hundreds of virtual seconds on maintenance).
+  // networks don't spend hundreds of virtual seconds on maintenance). Each
+  // origin is fresh where N allows; where it does not (N < 50), every get is
+  // still issued before any lookup answer could fill a cache.
+  std::vector<uint32_t> origins(n);
+  std::iota(origins.begin(), origins.end(), 0u);
+  for (uint32_t i = n - 1; i > 0; --i)
+    std::swap(origins[i], origins[rng.Uniform(i + 1)]);
   TimeUs total_get = 0;
   int got = 0;
   TimeUs start = net.loop()->now();
   for (int i = 0; i < 50; ++i) {
-    uint32_t src = static_cast<uint32_t>(rng.Uniform(n));
+    uint32_t src = origins[static_cast<uint32_t>(i) % n];
     net.dht(src)->Get("scale", "probe" + std::to_string(i),
                       [&, start](const Status&, std::vector<DhtItem>) {
                         total_get += net.loop()->now() - start;
@@ -61,18 +79,31 @@ Point Measure(uint32_t n, ProtocolKind kind, uint64_t seed) {
   Point p;
   p.mean_hops = deliveries ? static_cast<double>(hops) / deliveries : 0;
   p.get_ms = got ? static_cast<double>(total_get) / got / kMillisecond : -1;
+  for (uint32_t i = 0; i < n; ++i)
+    p.cache_hits += net.dht(i)->router()->stats().lookup_cache_hits;
   return p;
 }
 
-void Run() {
+int Run() {
+  const bool smoke = std::getenv("PIER_BENCH_SMOKE") != nullptr;
   bench::Title("E5: DHT per-op overhead vs network size (log-N claim)");
   std::vector<int> w = {8, 14, 14, 14, 14, 10};
   bench::Row({"N", "chord hops", "chord get ms", "prefix hops",
               "prefix get ms", "log2(N)"},
              w);
   for (uint32_t n : {16u, 64u, 256u, 1024u, 4096u}) {
+    if (smoke && n > 1024) break;
     Point chord = Measure(n, ProtocolKind::kChord, 11);
     Point prefix = Measure(n, ProtocolKind::kPrefix, 11);
+    if (chord.cache_hits + prefix.cache_hits > 0) {
+      std::fprintf(stderr,
+                   "FAIL: N=%u: %llu gets were answered by the owner-range "
+                   "cache; the get column must time cold two-phase gets\n",
+                   n,
+                   static_cast<unsigned long long>(chord.cache_hits +
+                                                   prefix.cache_hits));
+      return 1;
+    }
     bench::Row({std::to_string(n), bench::Fmt(chord.mean_hops, 2),
                 bench::Fmt(chord.get_ms), bench::Fmt(prefix.mean_hops, 2),
                 bench::Fmt(prefix.get_ms),
@@ -82,12 +113,10 @@ void Run() {
   bench::Note(
       "expected shape: hop counts grow ~logarithmically; prefix routing takes "
       "fewer hops than Chord at equal N (wider routing-table digits).");
+  return 0;
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
-  pier::Run();
-  return 0;
-}
+int main() { return pier::Run(); }

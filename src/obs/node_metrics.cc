@@ -54,6 +54,10 @@ void RegisterDhtMetrics(MetricsRegistry* reg, Dht* dht) {
   reg->AddCounterFn("pier_dht_read_repairs_total", {},
                     [dht] { return d(dht->stats().read_repairs); },
                     "Owner copies refreshed from a replica after a get");
+  reg->AddCounterFn("pier_dht_owner_redirects_total", {},
+                    [dht] { return d(dht->stats().owner_redirects); },
+                    "Put items re-routed, or gets and renews answered "
+                    "\"not owner\", by this node");
   reg->AddGaugeFn("pier_dht_objects", {},
                   [dht] { return d(dht->objects()->TotalObjects()); },
                   "Soft-state objects stored at this node, expired ones not "
@@ -86,6 +90,9 @@ void RegisterRouterMetrics(MetricsRegistry* reg, OverlayRouter* router) {
   reg->AddCounterFn("pier_router_lookups_failed_total", {},
                     [router] { return d(router->stats().lookups_failed); },
                     "Identifier lookups that failed");
+  reg->AddCounterFn("pier_router_lookup_cache_hits_total", {},
+                    [router] { return d(router->stats().lookup_cache_hits); },
+                    "Owner lookups answered by the owner-range cache");
   reg->AddCounterFn("pier_router_route_dead_ends_total", {},
                     [router] { return d(router->stats().route_dead_ends); },
                     "Routes dropped with no closer hop");

@@ -167,22 +167,43 @@ void Dht::Put(const std::string& ns, const std::string& key, const std::string& 
                   std::move(done));
     return;
   }
-  Id target = name.routing_id();
   // The complete kMsgPut frame is built exactly once, here; the lookup
   // callback moves it straight down to the transport (no re-framing copy).
   WireWriter w = OverlayRouter::FrameMessage(kMsgPut);
   EncodeObjectTo(&w, name, lifetime, value);
-  router_->Lookup(target, [this, wire = std::move(w).data(),
-                           done = std::move(done)](
-                              const Result<NetAddress>& owner, Id) mutable {
+  PutToOwner(name.routing_id(), std::move(w).data(), std::move(done), true);
+}
+
+void Dht::PutToOwner(Id target, std::string frame, DoneCallback done,
+                     bool may_refresh) {
+  router_->Lookup(target, [this, target, frame = std::move(frame),
+                           done = std::move(done), may_refresh](
+                              const Result<NetAddress>& owner, Id,
+                              bool cached) mutable {
     if (!owner.ok()) {
       if (done) done(owner.status());
       return;
     }
-    router_->SendFramed(owner.value(), std::move(wire),
-                        [done = std::move(done)](const Status& s) {
-                          if (done) done(s);
-                        });
+    if (!cached || !may_refresh) {
+      router_->SendFramed(owner.value(), std::move(frame),
+                          [done = std::move(done)](const Status& s) {
+                            if (done) done(s);
+                          });
+      return;
+    }
+    // The transport keeps its copy of the frame; this one serves the retry.
+    std::string sent = frame;
+    router_->SendFramed(
+        owner.value(), std::move(sent),
+        [this, target, stale = owner.value(), frame = std::move(frame),
+         done = std::move(done)](const Status& s) mutable {
+          if (s.ok()) {
+            if (done) done(s);
+            return;
+          }
+          CachedOwnerUnreachable(stale);
+          PutToOwner(target, std::move(frame), std::move(done), false);
+        });
   });
 }
 
@@ -195,7 +216,7 @@ void Dht::PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
       [this, name = std::move(name), value = std::move(value), remaining,
        replicas, done = std::move(done)](
           const Result<NetAddress>& owner, Id owner_id,
-          std::vector<NetAddress> succs) mutable {
+          std::vector<NetAddress> succs, bool) mutable {
         if (!owner.ok()) {
           if (done) done(owner.status());
           return;
@@ -241,205 +262,243 @@ void Dht::PutBatch(std::vector<DhtPutItem> items, DoneCallback done) {
   PutBatch(std::move(items), std::move(wrapped));
 }
 
+/// Shared completion state of one PutBatch: the owners arrive
+/// asynchronously, one lookup per distinct id; once all resolved, one wire
+/// message goes to each distinct destination. Every group's outcome is kept —
+/// a partial failure (one dead owner in a multi-owner batch) reports exactly
+/// which items were dropped rather than only the first error.
+struct Dht::BatchState {
+  std::vector<DhtPutItem> items;
+  size_t want_succs = 0;  // the batch's replica fan-out width, minus one
+  struct OwnerGroup {
+    std::vector<size_t> indices;
+    // Successor-set replication places every replica at the OWNER's
+    // successors, so the sets are per owner, not per key.
+    std::vector<NetAddress> succs;
+    Id owner_id = 0;
+    bool cached = false;  // some item's owner came from the range cache
+  };
+  std::map<NetAddress, OwnerGroup> by_owner;
+  std::vector<PutGroupStatus> groups;
+  /// Items whose cached owner could not be reached: resolved again once.
+  std::vector<size_t> refresh;
+  bool refreshed = false;
+  size_t pending_lookups = 0;
+  size_t pending_sends = 0;
+  Status first_error = Status::Ok();
+  BatchCallback done;
+
+  void NoteError(const Status& s) {
+    if (!s.ok() && first_error.ok()) first_error = s;
+  }
+};
+
 void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
   if (items.empty()) {
     if (done) done(Status::Ok(), {});
     return;
   }
   stats_.puts += items.size();
-
-  // Group the batch by routing id first — entries sharing a (ns, key) share
-  // an owner and need only one Lookup between them; order inside each group
-  // follows batch order.
-  auto batch = std::make_shared<std::vector<DhtPutItem>>(std::move(items));
-  std::map<Id, std::vector<size_t>> by_id;
-  for (size_t i = 0; i < batch->size(); ++i) {
-    by_id[RoutingId((*batch)[i].ns, (*batch)[i].key)].push_back(i);
-  }
-
-  // The batch's replica fan-out width: per-item factors resolve against the
-  // configured default, and the lookups request enough of each owner's
-  // successor set to place the widest item.
-  int max_k = 1;
-  for (const DhtPutItem& it : *batch)
-    max_k = std::max(max_k, EffectiveReplicas(it.replicas));
-
-  // Shared completion state: the owners arrive asynchronously, one Lookup
-  // per distinct id; once all resolved, one wire message goes to each
-  // distinct destination. Every group's outcome is kept — a partial failure
-  // (one dead owner in a multi-owner batch) reports exactly which items
-  // were dropped rather than only the first error.
-  struct BatchState {
-    std::map<NetAddress, std::vector<size_t>> by_owner;
-    // Successor-set replication places every replica at the OWNER's
-    // successors, so the sets are per owner, not per key.
-    std::map<NetAddress, std::vector<NetAddress>> succs_by_owner;
-    std::map<NetAddress, Id> id_by_owner;
-    std::vector<PutGroupStatus> groups;
-    size_t pending_lookups = 0;
-    size_t pending_sends = 0;
-    Status first_error = Status::Ok();
-    BatchCallback done;
-
-    void NoteError(const Status& s) {
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
-    void FinishIfIdle() {
-      if (pending_lookups > 0 || pending_sends > 0) return;
-      if (done) {
-        BatchCallback cb = std::move(done);
-        done = nullptr;
-        cb(first_error, std::move(groups));
-      }
-    }
-  };
   auto st = std::make_shared<BatchState>();
-  st->pending_lookups = by_id.size();
+  st->items = std::move(items);
   st->done = std::move(done);
+  // The lookups request enough of each owner's successor set to place the
+  // widest item; per-item factors resolve against the configured default.
+  int max_k = 1;
+  for (const DhtPutItem& it : st->items)
+    max_k = std::max(max_k, EffectiveReplicas(it.replicas));
+  st->want_succs = static_cast<size_t>(max_k - 1);
+  std::vector<size_t> all(st->items.size());
+  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
+  ResolveBatch(st, std::move(all));
+}
 
-  auto ship = [this, st, batch]() {
-    // All lookups resolved: one message per destination (chunked at the
-    // frame cap the receiver enforces). All sends are registered before the
-    // first one goes out, so a synchronously-failing send cannot complete
-    // the batch while later chunks are still unsent.
-    std::map<NetAddress, std::vector<size_t>> owners;
-    owners.swap(st->by_owner);
-    struct Frame {
-      size_t group;  // index into st->groups
-      bool replica = false;  // replica copies: failure = degraded, not dropped
-      NetAddress dest;
-      std::string wire;
-    };
-    std::vector<Frame> frames;
-    for (auto& [owner, indices] : owners) {
-      for (size_t start = 0; start < indices.size();
-           start += kMaxBatchEntriesPerFrame) {
-        size_t n = std::min(kMaxBatchEntriesPerFrame, indices.size() - start);
-        // One status group PER WIRE FRAME (an oversized destination chunks
-        // into several), so a lost chunk reports exactly its own items as
-        // dropped, never its sibling chunks' delivered ones.
-        size_t group = st->groups.size();
-        st->groups.push_back(PutGroupStatus{
-            owner,
-            std::vector<size_t>(indices.begin() + start,
-                                indices.begin() + start + n),
-            Status::Ok()});
-        int chunk_k = 1;
-        for (size_t j = start; j < start + n; ++j)
-          chunk_k = std::max(
-              chunk_k, EffectiveReplicas((*batch)[indices[j]].replicas));
-        WireWriter w;
-        if (chunk_k > 1) {
-          // Replicated chunk: the owner takes one primary replicate frame
-          // (index 0 — stores and fires newData exactly like a put, plus
-          // records each item's desired factor for repair) ...
-          Id owner_id = st->id_by_owner[owner];
-          w = ReplicationManager::FrameReplicate(
-              0, ReplicationManager::Origin::kWrite, owner_id, n);
-          for (size_t j = start; j < start + n; ++j) {
-            const DhtPutItem& it = (*batch)[indices[j]];
-            ReplicationManager::EncodeReplicaObject(
-                &w, ObjectNameView{it.ns, it.key, it.suffix},
-                EffectiveLifetime(it.lifetime), 0,
-                static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
-                it.value);
-          }
-          if (n > 1) {
-            stats_.batched_puts += n;
-            stats_.batch_msgs++;
-          }
-          // ... and each of the owner's first chunk_k-1 successors takes one
-          // replica frame per chunk with the items wide enough to reach it —
-          // replicating per destination group, not per item.
-          const std::vector<NetAddress>& succs = st->succs_by_owner[owner];
-          for (int rep = 1; rep < chunk_k; ++rep) {
-            size_t si = static_cast<size_t>(rep - 1);
-            if (si >= succs.size()) break;
-            const NetAddress& dest = succs[si];
-            if (dest.IsNull() || dest == owner) continue;
-            std::vector<size_t> rep_items;
-            for (size_t j = start; j < start + n; ++j) {
-              if (EffectiveReplicas((*batch)[indices[j]].replicas) > rep)
-                rep_items.push_back(indices[j]);
-            }
-            if (rep_items.empty()) continue;
-            WireWriter rw = ReplicationManager::FrameReplicate(
-                static_cast<uint8_t>(rep),
-                ReplicationManager::Origin::kWrite, owner_id,
-                rep_items.size());
-            for (size_t idx : rep_items) {
-              const DhtPutItem& it = (*batch)[idx];
-              ReplicationManager::EncodeReplicaObject(
-                  &rw, ObjectNameView{it.ns, it.key, it.suffix},
-                  EffectiveLifetime(it.lifetime), 0,
-                  static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
-                  it.value);
-            }
-            repl_->NoteReplicaCopiesSent(rep_items.size());
-            st->groups[group].replica_frames++;
-            frames.push_back(Frame{group, true, dest, std::move(rw).data()});
-          }
-        } else if (n == 1) {
-          // Singleton group: the plain put frame, byte-identical to Put().
-          const DhtPutItem& it = (*batch)[indices[start]];
-          w = OverlayRouter::FrameMessage(kMsgPut);
-          EncodeObjectTo(&w, ObjectNameView{it.ns, it.key, it.suffix},
-                         it.lifetime, it.value);
-        } else {
-          w = OverlayRouter::FrameMessage(kMsgPutBatch);
-          w.PutVarint(n);
-          for (size_t j = start; j < start + n; ++j) {
-            const DhtPutItem& it = (*batch)[indices[j]];
-            EncodeObjectTo(&w, ObjectNameView{it.ns, it.key, it.suffix},
-                           it.lifetime, it.value);
-          }
-          stats_.batched_puts += n;
-          stats_.batch_msgs++;
-        }
-        frames.push_back(Frame{group, false, owner, std::move(w).data()});
-      }
-    }
-    st->pending_sends = frames.size();
-    for (Frame& f : frames) {
-      size_t group = f.group;
-      bool replica = f.replica;
-      router_->SendFramed(f.dest, std::move(f.wire),
-                          [st, group, replica](const Status& s) {
-        if (replica) {
-          // A lost replica copy degrades the group; the data itself lives.
-          if (!s.ok()) st->groups[group].replica_failures++;
-        } else {
-          st->NoteError(s);
-          if (!s.ok()) st->groups[group].status = s;
-        }
-        st->pending_sends--;
-        st->FinishIfIdle();
-      });
-    }
-    st->FinishIfIdle();
-  };
-
-  size_t want_succs = static_cast<size_t>(max_k - 1);
-  for (auto& [id, indices] : by_id) {
+void Dht::ResolveBatch(const std::shared_ptr<BatchState>& st,
+                       std::vector<size_t> indices) {
+  // Group by routing id first — entries sharing a (ns, key) share an owner
+  // and need only one Lookup between them; order inside each group follows
+  // batch order.
+  std::map<Id, std::vector<size_t>> by_id;
+  for (size_t i : indices)
+    by_id[RoutingId(st->items[i].ns, st->items[i].key)].push_back(i);
+  st->pending_lookups = by_id.size();
+  for (auto& [id, group] : by_id) {
     router_->LookupEx(
-        id, want_succs,
-        [st, ship, indices = indices](const Result<NetAddress>& owner,
-                                      Id owner_id,
-                                      std::vector<NetAddress> succs) {
+        id, st->want_succs,
+        [this, st, group = std::move(group)](
+            const Result<NetAddress>& owner, Id owner_id,
+            std::vector<NetAddress> succs, bool cached) {
           if (owner.ok()) {
-            std::vector<size_t>& group = st->by_owner[owner.value()];
-            group.insert(group.end(), indices.begin(), indices.end());
-            st->succs_by_owner[owner.value()] = std::move(succs);
-            st->id_by_owner[owner.value()] = owner_id;
+            BatchState::OwnerGroup& g = st->by_owner[owner.value()];
+            g.indices.insert(g.indices.end(), group.begin(), group.end());
+            g.succs = std::move(succs);
+            g.owner_id = owner_id;
+            g.cached = g.cached || cached;
           } else {
             // The whole group is undeliverable: no owner could be resolved.
             st->NoteError(owner.status());
             st->groups.push_back(
-                PutGroupStatus{NetAddress{}, indices, owner.status()});
+                PutGroupStatus{NetAddress{}, group, owner.status()});
           }
-          if (--st->pending_lookups == 0) ship();
+          if (--st->pending_lookups == 0) ShipBatch(st);
         });
   }
+}
+
+void Dht::ShipBatch(const std::shared_ptr<BatchState>& st) {
+  // All lookups resolved: one message per destination (chunked at the frame
+  // cap the receiver enforces). All sends are registered before the first
+  // one goes out, so a synchronously-failing send cannot complete the batch
+  // while later chunks are still unsent.
+  std::map<NetAddress, BatchState::OwnerGroup> owners;
+  owners.swap(st->by_owner);
+  const std::vector<DhtPutItem>& batch = st->items;
+  struct Frame {
+    size_t group;  // index into st->groups
+    bool replica = false;  // replica copies: failure = degraded, not dropped
+    bool refreshable = false;  // a cached owner: failure = one fresh lookup
+    NetAddress dest;
+    std::string wire;
+  };
+  std::vector<Frame> frames;
+  for (auto& [owner, og] : owners) {
+    const std::vector<size_t>& indices = og.indices;
+    bool refreshable = og.cached && !st->refreshed;
+    for (size_t start = 0; start < indices.size();
+         start += kMaxBatchEntriesPerFrame) {
+      size_t n = std::min(kMaxBatchEntriesPerFrame, indices.size() - start);
+      // One status group PER WIRE FRAME (an oversized destination chunks
+      // into several), so a lost chunk reports exactly its own items as
+      // dropped, never its sibling chunks' delivered ones.
+      size_t group = st->groups.size();
+      st->groups.push_back(PutGroupStatus{
+          owner,
+          std::vector<size_t>(indices.begin() + start,
+                              indices.begin() + start + n),
+          Status::Ok()});
+      int chunk_k = 1;
+      for (size_t j = start; j < start + n; ++j)
+        chunk_k = std::max(chunk_k,
+                           EffectiveReplicas(batch[indices[j]].replicas));
+      WireWriter w;
+      if (chunk_k > 1) {
+        // Replicated chunk: the owner takes one primary replicate frame
+        // (index 0 — stores and fires newData exactly like a put, plus
+        // records each item's desired factor for repair) ...
+        w = ReplicationManager::FrameReplicate(
+            0, ReplicationManager::Origin::kWrite, og.owner_id, n);
+        for (size_t j = start; j < start + n; ++j) {
+          const DhtPutItem& it = batch[indices[j]];
+          ReplicationManager::EncodeReplicaObject(
+              &w, ObjectNameView{it.ns, it.key, it.suffix},
+              EffectiveLifetime(it.lifetime), 0,
+              static_cast<uint8_t>(EffectiveReplicas(it.replicas)), it.value);
+        }
+        if (n > 1) {
+          stats_.batched_puts += n;
+          stats_.batch_msgs++;
+        }
+        // ... and each of the owner's first chunk_k-1 successors takes one
+        // replica frame per chunk with the items wide enough to reach it —
+        // replicating per destination group, not per item.
+        for (int rep = 1; rep < chunk_k; ++rep) {
+          size_t si = static_cast<size_t>(rep - 1);
+          if (si >= og.succs.size()) break;
+          const NetAddress& dest = og.succs[si];
+          if (dest.IsNull() || dest == owner) continue;
+          std::vector<size_t> rep_items;
+          for (size_t j = start; j < start + n; ++j) {
+            if (EffectiveReplicas(batch[indices[j]].replicas) > rep)
+              rep_items.push_back(indices[j]);
+          }
+          if (rep_items.empty()) continue;
+          WireWriter rw = ReplicationManager::FrameReplicate(
+              static_cast<uint8_t>(rep), ReplicationManager::Origin::kWrite,
+              og.owner_id, rep_items.size());
+          for (size_t idx : rep_items) {
+            const DhtPutItem& it = batch[idx];
+            ReplicationManager::EncodeReplicaObject(
+                &rw, ObjectNameView{it.ns, it.key, it.suffix},
+                EffectiveLifetime(it.lifetime), 0,
+                static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
+                it.value);
+          }
+          repl_->NoteReplicaCopiesSent(rep_items.size());
+          st->groups[group].replica_frames++;
+          frames.push_back(
+              Frame{group, true, false, dest, std::move(rw).data()});
+        }
+      } else if (n == 1) {
+        // Singleton group: the plain put frame, byte-identical to Put().
+        const DhtPutItem& it = batch[indices[start]];
+        w = OverlayRouter::FrameMessage(kMsgPut);
+        EncodeObjectTo(&w, ObjectNameView{it.ns, it.key, it.suffix},
+                       it.lifetime, it.value);
+      } else {
+        w = OverlayRouter::FrameMessage(kMsgPutBatch);
+        w.PutVarint(n);
+        for (size_t j = start; j < start + n; ++j) {
+          const DhtPutItem& it = batch[indices[j]];
+          EncodeObjectTo(&w, ObjectNameView{it.ns, it.key, it.suffix},
+                         it.lifetime, it.value);
+        }
+        stats_.batched_puts += n;
+        stats_.batch_msgs++;
+      }
+      frames.push_back(
+          Frame{group, false, refreshable, owner, std::move(w).data()});
+    }
+  }
+  st->pending_sends = frames.size();
+  for (Frame& f : frames) {
+    size_t group = f.group;
+    bool replica = f.replica;
+    bool refreshable = f.refreshable;
+    NetAddress dest = f.dest;
+    router_->SendFramed(
+        dest, std::move(f.wire),
+        [this, st, group, replica, refreshable, dest](const Status& s) {
+          PutGroupStatus& g = st->groups[group];
+          if (replica) {
+            // A lost replica copy degrades the group; the data itself lives.
+            if (!s.ok()) g.replica_failures++;
+          } else if (!s.ok() && refreshable) {
+            // The cached owner is gone: its items get one fresh lookup, and
+            // this group leaves the report.
+            CachedOwnerUnreachable(dest);
+            st->refresh.insert(st->refresh.end(), g.indices.begin(),
+                               g.indices.end());
+            g.indices.clear();
+          } else {
+            st->NoteError(s);
+            if (!s.ok()) g.status = s;
+          }
+          st->pending_sends--;
+          FinishBatchIfIdle(st);
+        });
+  }
+  FinishBatchIfIdle(st);
+}
+
+void Dht::FinishBatchIfIdle(const std::shared_ptr<BatchState>& st) {
+  if (st->pending_lookups > 0 || st->pending_sends > 0) return;
+  if (!st->refresh.empty()) {
+    std::vector<size_t> again;
+    again.swap(st->refresh);
+    st->refreshed = true;
+    ResolveBatch(st, std::move(again));
+    return;
+  }
+  if (!st->done) return;
+  BatchCallback cb = std::move(st->done);
+  st->done = nullptr;
+  std::vector<PutGroupStatus> groups = std::move(st->groups);
+  groups.erase(std::remove_if(groups.begin(), groups.end(),
+                              [](const PutGroupStatus& g) {
+                                return g.indices.empty();
+                              }),
+               groups.end());
+  cb(st->first_error, std::move(groups));
 }
 
 void Dht::Send(const std::string& ns, const std::string& key,
@@ -480,24 +539,7 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
 
   if (k <= 1) {
     // Owner-only get: the classic wire exchange, byte-identical.
-    router_->Lookup(target, [this, op_id, ns, key](const Result<NetAddress>& owner, Id) {
-      auto it = pending_.find(op_id);
-      if (it == pending_.end()) return;
-      if (!owner.ok()) {
-        GetCallback cb2 = std::move(it->second.get_cb);
-        vri_->CancelEvent(it->second.timer);
-        pending_.erase(it);
-        cb2(owner.status(), {});
-        return;
-      }
-      WireWriter w;
-      w.PutU64(op_id);
-      w.PutU32(router_->local_address().host);
-      w.PutU16(router_->local_address().port);
-      w.PutBytes(ns);
-      w.PutBytes(key);
-      router_->SendDirect(owner.value(), kMsgGetReq, std::move(w).data(), nullptr);
-    });
+    GetFromOwner(op_id, ns, key, true);
     return;
   }
 
@@ -507,7 +549,7 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
   router_->LookupEx(
       target, static_cast<size_t>(k - 1),
       [this, op_id, ns, key, k](const Result<NetAddress>& owner, Id owner_id,
-                                std::vector<NetAddress> succs) {
+                                std::vector<NetAddress> succs, bool) {
         auto it = pending_.find(op_id);
         if (it == pending_.end()) return;
         if (!owner.ok()) {
@@ -530,6 +572,72 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
         }
         SendGetAttempt(op_id);
       });
+}
+
+void Dht::GetFromOwner(uint64_t op_id, std::string ns, std::string key,
+                       bool may_refresh) {
+  Id target = RoutingId(ns, key);
+  router_->Lookup(target, [this, op_id, ns = std::move(ns),
+                           key = std::move(key), may_refresh](
+                              const Result<NetAddress>& owner, Id,
+                              bool cached) {
+    auto it = pending_.find(op_id);
+    if (it == pending_.end()) return;
+    if (!owner.ok()) {
+      GetCallback cb2 = std::move(it->second.get_cb);
+      vri_->CancelEvent(it->second.timer);
+      pending_.erase(it);
+      cb2(owner.status(), {});
+      return;
+    }
+    WireWriter w;
+    w.PutU64(op_id);
+    w.PutU32(router_->local_address().host);
+    w.PutU16(router_->local_address().port);
+    w.PutBytes(ns);
+    w.PutBytes(key);
+    std::function<void(const Status&)> on_delivery;
+    if (cached && may_refresh) {
+      on_delivery = ArmRefresh(&it->second, owner.value(),
+                               [this, op_id, ns, key]() {
+                                 GetFromOwner(op_id, ns, key, false);
+                               });
+    }
+    router_->SendDirect(owner.value(), kMsgGetReq, std::move(w).data(),
+                        std::move(on_delivery));
+  });
+}
+
+std::function<void(const Status&)> Dht::ArmRefresh(PendingOp* op,
+                                                   const NetAddress& owner,
+                                                   std::function<void()> redo) {
+  op->refresh = std::move(redo);
+  op->cached_owner = owner;
+  return [this, owner](const Status& s) {
+    if (!s.ok()) CachedOwnerUnreachable(owner);
+  };
+}
+
+void Dht::Refresh(uint64_t op_id) {
+  auto it = pending_.find(op_id);
+  if (it == pending_.end() || !it->second.refresh) return;
+  std::function<void()> redo = std::move(it->second.refresh);
+  it->second.refresh = nullptr;
+  router_->EvictOwner(it->second.cached_owner);
+  redo();
+}
+
+void Dht::CachedOwnerUnreachable(const NetAddress& dead) {
+  router_->EvictOwner(dead);
+  // Every other op sent to the dead owner from the cache waits in the
+  // transport behind the message that just failed, and would wait out a
+  // full give-up of its own: redo them all now, in issue order.
+  std::vector<uint64_t> ops;
+  for (const auto& [id, op] : pending_) {
+    if (op.refresh && op.cached_owner == dead) ops.push_back(id);
+  }
+  std::sort(ops.begin(), ops.end());
+  for (uint64_t id : ops) Refresh(id);
 }
 
 void Dht::SendGetAttempt(uint64_t op_id) {
@@ -584,30 +692,42 @@ void Dht::Renew(const std::string& ns, const std::string& key,
     if (cb2) cb2(Status::TimedOut("dht renew timed out"));
   });
   pending_[op_id] = std::move(op);
+  RenewAtOwner(op_id, std::move(name), lifetime, true);
+}
 
-  router_->Lookup(
-      name.routing_id(),
-      [this, op_id, name, lifetime](const Result<NetAddress>& owner, Id) {
-        auto it = pending_.find(op_id);
-        if (it == pending_.end()) return;
-        if (!owner.ok()) {
-          DoneCallback cb2 = std::move(it->second.done_cb);
-          vri_->CancelEvent(it->second.timer);
-          pending_.erase(it);
-          if (cb2) cb2(owner.status());
-          return;
-        }
-        WireWriter w;
-        w.PutU64(op_id);
-        w.PutU32(router_->local_address().host);
-        w.PutU16(router_->local_address().port);
-        w.PutBytes(name.ns);
-        w.PutBytes(name.key);
-        w.PutBytes(name.suffix);
-        w.PutU64(static_cast<uint64_t>(EffectiveLifetime(lifetime)));
-        router_->SendDirect(owner.value(), kMsgRenewReq, std::move(w).data(),
-                            nullptr);
-      });
+void Dht::RenewAtOwner(uint64_t op_id, ObjectName name, TimeUs lifetime,
+                       bool may_refresh) {
+  Id target = name.routing_id();
+  router_->Lookup(target, [this, op_id, name = std::move(name), lifetime,
+                           may_refresh](const Result<NetAddress>& owner, Id,
+                                        bool cached) {
+    auto it = pending_.find(op_id);
+    if (it == pending_.end()) return;
+    if (!owner.ok()) {
+      DoneCallback cb2 = std::move(it->second.done_cb);
+      vri_->CancelEvent(it->second.timer);
+      pending_.erase(it);
+      if (cb2) cb2(owner.status());
+      return;
+    }
+    WireWriter w;
+    w.PutU64(op_id);
+    w.PutU32(router_->local_address().host);
+    w.PutU16(router_->local_address().port);
+    w.PutBytes(name.ns);
+    w.PutBytes(name.key);
+    w.PutBytes(name.suffix);
+    w.PutU64(static_cast<uint64_t>(EffectiveLifetime(lifetime)));
+    std::function<void(const Status&)> on_delivery;
+    if (cached && may_refresh) {
+      on_delivery = ArmRefresh(&it->second, owner.value(),
+                               [this, op_id, name, lifetime]() {
+                                 RenewAtOwner(op_id, name, lifetime, false);
+                               });
+    }
+    router_->SendDirect(owner.value(), kMsgRenewReq, std::move(w).data(),
+                        std::move(on_delivery));
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -660,6 +780,20 @@ void Dht::CancelNewData(uint64_t token) {
 // Message handlers
 // ---------------------------------------------------------------------------
 
+bool Dht::OwnsOrUnsure(Id id) const {
+  const RoutingProtocol* p = router_->protocol();
+  Id pred;
+  return !p->PredecessorId(&pred) || p->IsOwner(id);
+}
+
+void Dht::Reroute(const WireObjectView& v) {
+  stats_.owner_redirects++;
+  // A reserved namespace: no upcall handler sees a re-routed put en route.
+  router_->Route("\x01put", RoutingId(v.ns, v.key),
+                 EncodeObject(ObjectNameView{v.ns, v.key, v.suffix}, v.lifetime,
+                              v.value));
+}
+
 void Dht::HandleRoutedDelivery(const RouteInfo& info, std::string_view payload) {
   // A routed Send reached the responsible node: store like a put.
   stats_.routed_deliveries++;
@@ -671,15 +805,20 @@ void Dht::HandleRoutedDelivery(const RouteInfo& info, std::string_view payload) 
 }
 
 void Dht::HandlePut(const NetAddress& from, std::string_view body) {
-  (void)from;
   WireReader r(body);
   WireObjectView v;
   if (!DecodeObjectFrom(&r, &v).ok()) return;
-  StoreFromView(v);
+  if (OwnsOrUnsure(RoutingId(v.ns, v.key))) {
+    StoreFromView(v);
+    return;
+  }
+  // Sent here by a stale cache entry: pass the object on, and correct the
+  // sender's entry for this node.
+  Reroute(v);
+  router_->SendOwnerRange(from);
 }
 
 void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
-  (void)from;
   WireReader r(body);
   uint64_t count;
   if (!r.GetVarint(&count).ok()) return;
@@ -690,17 +829,26 @@ void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
   // Batch-capable newData subscriptions see the frame's objects as ONE
   // grouped delivery of views after the store loop, instead of per-object
   // re-materialized callbacks.
-  std::vector<WireObjectView> stored;
+  // Items this node does not own are passed on after the grouped dispatch,
+  // so one that routes back here (no better hop known) is a plain insert.
+  std::vector<WireObjectView> stored, misplaced;
   stored.reserve(count);
   collecting_batch_ = true;
   for (uint64_t i = 0; i < count; ++i) {
     WireObjectView v;
     if (!DecodeObjectFrom(&r, &v).ok()) break;
+    if (!OwnsOrUnsure(RoutingId(v.ns, v.key))) {
+      misplaced.push_back(v);
+      continue;
+    }
     StoreFromView(v);
     stored.push_back(v);
   }
   collecting_batch_ = false;
   DispatchBatchNewData(stored);
+  if (misplaced.empty()) return;
+  for (const WireObjectView& v : misplaced) Reroute(v);
+  router_->SendOwnerRange(from);
 }
 
 void Dht::DispatchBatchNewData(const std::vector<WireObjectView>& stored) {
@@ -756,28 +904,42 @@ void Dht::HandleGetReq(const NetAddress& from, std::string_view body) {
     w.PutBytes(obj->suffix());
     w.PutBytes(obj->value());
   }
+  // Trailing "not owner" flag, sent only by a non-owner: a requester that
+  // came from the range cache redoes the get; any other takes the items, as
+  // it always did.
+  if (!OwnsOrUnsure(RoutingId(ns, key))) {
+    stats_.owner_redirects++;
+    w.PutU8(1);
+  }
   router_->SendDirect(NetAddress{host, port}, kMsgGetResp, std::move(w).data(),
                       nullptr);
 }
 
 void Dht::HandleGetResp(const NetAddress& from, std::string_view body) {
-  (void)from;
   WireReader r(body);
   uint64_t op_id;
   uint32_t count;
   if (!r.GetU64(&op_id).ok() || !r.GetU32(&count).ok()) return;
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
+  std::vector<DhtItem> items;
+  items.reserve(count);
+  bool complete = true;
+  for (uint32_t i = 0; complete && i < count; ++i) {
+    std::string_view suffix, value;
+    complete = r.GetBytes(&suffix).ok() && r.GetBytes(&value).ok();
+    if (complete)
+      items.push_back(DhtItem{std::string(suffix), std::string(value)});
+  }
+  uint8_t not_owner = 0;
+  if (complete && r.GetU8(&not_owner).ok() && not_owner != 0 &&
+      it->second.refresh && from == it->second.cached_owner) {
+    Refresh(op_id);
+    return;
+  }
   GetCallback cb = std::move(it->second.get_cb);
   vri_->CancelEvent(it->second.timer);
   pending_.erase(it);
-  std::vector<DhtItem> items;
-  items.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    std::string_view suffix, value;
-    if (!r.GetBytes(&suffix).ok() || !r.GetBytes(&value).ok()) break;
-    items.push_back(DhtItem{std::string(suffix), std::string(value)});
-  }
   if (cb) cb(Status::Ok(), std::move(items));
 }
 
@@ -877,6 +1039,19 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
       !r.GetU64(&lifetime).ok())
     return;
   ObjectNameView name{ns, key, suffix};
+  WireWriter w;
+  w.PutU64(op_id);
+  if (!OwnsOrUnsure(name.routing_id())) {
+    // A non-owner's copy is stale: extending it would outlive the owner's.
+    // "Not found, not owner": a requester from the range cache redoes the
+    // renew, any other re-puts.
+    stats_.owner_redirects++;
+    w.PutU8(0);
+    w.PutU8(1);
+    router_->SendDirect(NetAddress{host, port}, kMsgRenewResp,
+                        std::move(w).data(), nullptr);
+    return;
+  }
   Status s = objects_->Renew(name, static_cast<TimeUs>(lifetime));
   if (s.ok()) {
     // A renewed replicated object has drifted from its replica copies'
@@ -885,21 +1060,24 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
     if (o != nullptr && !o->is_replica() && o->desired_replicas > 1)
       repl_->RefreshReplicas(name);
   }
-  WireWriter w;
-  w.PutU64(op_id);
   w.PutU8(s.ok() ? 1 : 0);
   router_->SendDirect(NetAddress{host, port}, kMsgRenewResp, std::move(w).data(),
                       nullptr);
 }
 
 void Dht::HandleRenewResp(const NetAddress& from, std::string_view body) {
-  (void)from;
   WireReader r(body);
   uint64_t op_id;
   uint8_t ok;
   if (!r.GetU64(&op_id).ok() || !r.GetU8(&ok).ok()) return;
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
+  uint8_t not_owner = 0;
+  if (r.GetU8(&not_owner).ok() && not_owner != 0 && it->second.refresh &&
+      from == it->second.cached_owner) {
+    Refresh(op_id);
+    return;
+  }
   DoneCallback cb = std::move(it->second.done_cb);
   vri_->CancelEvent(it->second.timer);
   pending_.erase(it);

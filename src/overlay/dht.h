@@ -10,7 +10,11 @@
 // put and renew are two-phase: a lookup resolves the identifier-to-address
 // mapping, then a direct point-to-point message performs the operation. send
 // routes the object through the overlay in a single call, giving every node
-// on the path an upcall (Figure 6).
+// on the path an upcall (Figure 6). The router's owner-range cache may
+// answer the lookup from an earlier one, so every receiver checks that it
+// owns what it is sent: a misplaced put is re-routed to its owner, and a
+// misplaced get or renew answers "not owner", which a sender that used the
+// cache redoes once through a fresh lookup.
 
 #ifndef PIER_OVERLAY_DHT_H_
 #define PIER_OVERLAY_DHT_H_
@@ -262,6 +266,7 @@ class Dht {
     uint64_t read_failovers = 0;     // gets answered by a replica, not the owner
     uint64_t read_repairs = 0;       // owner copies refreshed from a replica
     uint64_t suppressed_scan_rows = 0;  // replica rows hidden from LocalScan
+    uint64_t owner_redirects = 0;  // items re-routed or answered "not owner"
   };
   Stats stats() const {
     Stats s = stats_;
@@ -312,6 +317,12 @@ class Dht {
   void HandleRenewReq(const NetAddress& from, std::string_view body);
   void HandleRenewResp(const NetAddress& from, std::string_view body);
   void HandleRoutedDelivery(const RouteInfo& info, std::string_view payload);
+  /// The owner check every primary put, get and renew passes at its
+  /// receiver: the node owns `id`, or does not know its range yet.
+  bool OwnsOrUnsure(Id id) const;
+  /// Send a put this node does not own on toward its owner, over the routed
+  /// channel (HandleRoutedDelivery stores it there).
+  void Reroute(const WireObjectView& v);
   /// Copy a decoded view's bytes out of the receive buffer straight into
   /// the object's block (the one unavoidable copy of the receive path).
   void StoreFromView(const WireObjectView& v);
@@ -324,6 +335,35 @@ class Dht {
   /// Replicated write path shared by Put and PutBatch's replicated groups.
   void PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
                      int replicas, DoneCallback done);
+  /// The owner-only put: resolve, then ship the finished kMsgPut frame. A
+  /// cached owner that cannot be reached costs one fresh lookup
+  /// (`may_refresh`), not a failure.
+  void PutToOwner(Id target, std::string frame, DoneCallback done,
+                  bool may_refresh);
+  /// PutBatch's two phases: resolve the owners of `indices`, then ship one
+  /// frame per destination once every lookup answered.
+  struct BatchState;
+  void ResolveBatch(const std::shared_ptr<BatchState>& st,
+                    std::vector<size_t> indices);
+  void ShipBatch(const std::shared_ptr<BatchState>& st);
+  void FinishBatchIfIdle(const std::shared_ptr<BatchState>& st);
+  /// The owner-only get and renew, sent to the current owner.
+  void GetFromOwner(uint64_t op_id, std::string ns, std::string key,
+                    bool may_refresh);
+  void RenewAtOwner(uint64_t op_id, ObjectName name, TimeUs lifetime,
+                    bool may_refresh);
+  struct PendingOp;
+  /// Arm `op`, whose attempt goes to `owner` from the range cache, to `redo`
+  /// itself once; returns the attempt's delivery callback.
+  std::function<void(const Status&)> ArmRefresh(PendingOp* op,
+                                                const NetAddress& owner,
+                                                std::function<void()> redo);
+  /// Op `op_id`'s cached owner answered "not owner": evict it and redo the
+  /// op through a fresh lookup, once.
+  void Refresh(uint64_t op_id);
+  /// A send to cached owner `dead` failed: evict it and refresh every get
+  /// and renew still waiting on it.
+  void CachedOwnerUnreachable(const NetAddress& dead);
   /// Issue (or re-issue) the read-any get to the current candidate.
   void SendGetAttempt(uint64_t op_id);
   /// Current candidate failed or came back empty: advance or finish.
@@ -349,6 +389,10 @@ class Dht {
     size_t attempt = 0;
     Id owner_id = 0;
     int replicas = 0;
+    /// Set while the current attempt went to `cached_owner`, an owner from
+    /// the range cache: redoes the op through a fresh lookup (see Refresh).
+    std::function<void()> refresh;
+    NetAddress cached_owner;
   };
   std::unordered_map<uint64_t, PendingOp> pending_;
   uint64_t next_op_id_ = 1;

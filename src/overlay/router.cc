@@ -84,14 +84,10 @@ void OverlayRouter::TransportSend(const NetAddress& to, std::string wire,
     return;
   }
   if (buf.timer == 0) {
-    buf.timer = vri_->ScheduleEvent(options_.coalesce_window_us, [this, to]() {
-      // This timer just fired; zero the token so the flush does not cancel
-      // an already-executed event (which would pin it in the loop's
-      // cancelled set forever).
-      auto bit = coalesce_.find(to);
-      if (bit != coalesce_.end()) bit->second.timer = 0;
-      FlushCoalesceBuffer(to);
-    });
+    // The flush cancels buf.timer, which by then is this fired event's own
+    // token: the loop treats a fired token's cancel as a no-op.
+    buf.timer = vri_->ScheduleEvent(options_.coalesce_window_us,
+                                    [this, to]() { FlushCoalesceBuffer(to); });
   }
 }
 
@@ -183,6 +179,7 @@ void OverlayRouter::ForwardRoute(RouteInfo info, std::string payload,
                  payload = std::move(payload), attempts](const Status& s) mutable {
                   if (s.ok()) return;
                   protocol_->OnPeerUnreachable(next);
+                  EvictOwner(next);
                   if (attempts + 1 >= options_.route_retry_limit) {
                     stats_.route_dead_ends++;
                     return;
@@ -197,7 +194,7 @@ void OverlayRouter::Deliver(const RouteInfo& info, std::string_view payload) {
   // them here instead of surfacing them to the query processor.
   if (info.ns == "\x01lookup") {
     if (!payload.empty() && static_cast<uint8_t>(payload[0]) == kMsgLookupReq) {
-      HandleLookupReq(info.origin, payload.substr(1));
+      HandleLookupReq(info.target, payload.substr(1));
     }
     return;
   }
@@ -219,11 +216,11 @@ void OverlayRouter::HandleMessage(const NetAddress& from, std::string_view paylo
     case kMsgBundle:
       HandleBundle(from, body);
       return;
-    case kMsgLookupReq:
-      HandleLookupReq(from, body);
-      return;
     case kMsgLookupResp:
       HandleLookupResp(body);
+      return;
+    case kMsgOwnerRange:
+      HandleOwnerRange(from, body);
       return;
     default: {
       auto it = direct_handlers_.find(type);
@@ -292,10 +289,32 @@ void OverlayRouter::HandleRoute(const NetAddress& from, std::string_view body) {
 void OverlayRouter::Lookup(Id target, LookupCallback cb) {
   LookupEx(target, 0,
            [cb = std::move(cb)](const Result<NetAddress>& owner, Id owner_id,
-                                std::vector<NetAddress>) { cb(owner, owner_id); });
+                                std::vector<NetAddress>, bool cached) {
+             cb(owner, owner_id, cached);
+           });
 }
 
 void OverlayRouter::LookupEx(Id target, size_t want_succs, LookupExCallback cb) {
+  // Local short-circuit: we may already be the owner.
+  if (protocol_->IsOwner(target) || protocol_->NextHop(target).IsNull()) {
+    stats_.lookups_started++;
+    stats_.lookups_ok++;
+    cb(local_address_, local_id_, protocol_->SuccessorSet(want_succs), false);
+    return;
+  }
+  // A cached range answers an owner-only lookup with no message. Copy the
+  // entry out first: the callback may evict it.
+  if (want_succs == 0) {
+    for (const OwnerRange& e : owner_cache_) {
+      if (!InOpenClosed(e.lo, e.hi, target)) continue;
+      NetAddress owner{e.host, e.port};
+      Id owner_id = e.hi;
+      stats_.lookup_cache_hits++;
+      cb(owner, owner_id, {}, true);
+      return;
+    }
+  }
+
   stats_.lookups_started++;
   uint64_t lookup_id = next_lookup_id_++;
   PendingLookup pending;
@@ -306,50 +325,27 @@ void OverlayRouter::LookupEx(Id target, size_t want_succs, LookupExCallback cb) 
     LookupExCallback cb = std::move(it->second.cb);
     pending_lookups_.erase(it);
     stats_.lookups_failed++;
-    cb(Status::TimedOut("lookup timed out"), 0, {});
+    cb(Status::TimedOut("lookup timed out"), 0, {}, false);
   });
   pending_lookups_[lookup_id] = std::move(pending);
 
+  // The request rides the routed channel in a reserved namespace with no
+  // upcalls; Deliver hands it to HandleLookupReq at the owner, which answers
+  // the requester directly.
   WireWriter w;
+  w.PutU8(kMsgLookupReq);
   w.PutU64(lookup_id);
   w.PutU32(local_address_.host);
   w.PutU16(local_address_.port);
   w.PutU8(static_cast<uint8_t>(std::min<size_t>(want_succs, 255)));
-  // Lookups ride the routed channel in a reserved namespace with no upcalls.
   RouteInfo info;
   info.target = target;
   info.ns = "\x01lookup";
   info.origin = local_address_;
-  std::string payload = std::move(w).data();
-
-  // Local short-circuit: we may already be the owner.
-  if (protocol_->IsOwner(info.target) || protocol_->NextHop(info.target).IsNull()) {
-    auto it = pending_lookups_.find(lookup_id);
-    if (it != pending_lookups_.end()) {
-      LookupExCallback cb2 = std::move(it->second.cb);
-      vri_->CancelEvent(it->second.timer);
-      pending_lookups_.erase(it);
-      stats_.lookups_ok++;
-      cb2(local_address_, local_id_, protocol_->SuccessorSet(want_succs));
-    }
-    return;
-  }
-
-  // Wrap as a lookup request message and route it.
-  WireWriter route;
-  route.PutU8(kMsgLookupReq);
-  route.PutRaw(payload);
-  // Reuse routed forwarding by marking the message type as lookup-req: the
-  // owner answers directly to the requester.
-  RouteInfo li = info;
-  std::string body = std::move(route).data();
-  // Encode as a normal routed message whose payload is the lookup request;
-  // delivery is intercepted in Deliver via the reserved namespace.
-  ForwardRoute(std::move(li), std::move(body), 0);
+  ForwardRoute(std::move(info), std::move(w).data(), 0);
 }
 
-void OverlayRouter::HandleLookupReq(const NetAddress& from, std::string_view body) {
-  (void)from;
+void OverlayRouter::HandleLookupReq(Id target, std::string_view body) {
   WireReader r(body);
   uint64_t lookup_id;
   uint32_t host;
@@ -372,6 +368,12 @@ void OverlayRouter::HandleLookupReq(const NetAddress& from, std::string_view bod
     w.PutU32(s.host);
     w.PutU16(s.port);
   }
+  // Trailing field: this node's predecessor, naming the range (pred, self]
+  // the requester may cache. Sent only when that range holds the target, so
+  // a de-facto root answering for an id it does not own fills no cache.
+  Id pred;
+  if (protocol_->PredecessorId(&pred) && InOpenClosed(pred, local_id_, target))
+    w.PutU64(pred);
   TransportSend(NetAddress{host, port}, std::move(w).data(), nullptr);
 }
 
@@ -385,21 +387,79 @@ void OverlayRouter::HandleLookupResp(std::string_view body) {
     return;
   std::vector<NetAddress> succs;
   uint8_t count = 0;
-  if (r.GetU8(&count).ok()) {
-    for (uint8_t i = 0; i < count; ++i) {
-      uint32_t sh;
-      uint16_t sp;
-      if (!r.GetU32(&sh).ok() || !r.GetU16(&sp).ok()) break;
-      succs.push_back(NetAddress{sh, sp});
-    }
+  bool complete = r.GetU8(&count).ok();
+  for (uint8_t i = 0; complete && i < count; ++i) {
+    uint32_t sh;
+    uint16_t sp;
+    complete = r.GetU32(&sh).ok() && r.GetU16(&sp).ok();
+    if (complete) succs.push_back(NetAddress{sh, sp});
   }
+  // Older responders send no predecessor; a truncated one is ignored.
+  uint64_t pred = 0;
+  bool has_range = complete && r.GetU64(&pred).ok();
   auto it = pending_lookups_.find(lookup_id);
   if (it == pending_lookups_.end()) return;  // timed out already
   LookupExCallback cb = std::move(it->second.cb);
   vri_->CancelEvent(it->second.timer);
   pending_lookups_.erase(it);
   stats_.lookups_ok++;
-  cb(NetAddress{host, port}, owner_id, std::move(succs));
+  NetAddress owner{host, port};
+  // Only a solicited answer fills the cache.
+  if (has_range) CacheOwnerRange(pred, owner_id, owner);
+  cb(owner, owner_id, std::move(succs), false);
+}
+
+// ---------------------------------------------------------------------------
+// Owner-range cache
+// ---------------------------------------------------------------------------
+
+void OverlayRouter::CacheOwnerRange(Id lo, Id hi, const NetAddress& owner) {
+  if (lo == hi || owner == local_address_ || owner.IsNull()) return;
+  // Ranges on a ring overlap iff one holds the other's upper end. The new
+  // range is the newer word on every id it covers, and a node owns one
+  // range, so both overlapping entries and the owner's old entry go.
+  owner_cache_.erase(
+      std::remove_if(owner_cache_.begin(), owner_cache_.end(),
+                     [&](const OwnerRange& e) {
+                       return (e.host == owner.host && e.port == owner.port) ||
+                              InOpenClosed(lo, hi, e.hi) ||
+                              InOpenClosed(e.lo, e.hi, hi);
+                     }),
+      owner_cache_.end());
+  OwnerRange entry{lo, hi, owner.host, owner.port};
+  if (owner_cache_.size() < kOwnerCacheCapacity) {
+    owner_cache_.push_back(entry);
+    return;
+  }
+  owner_cache_[owner_cache_victim_] = entry;
+  owner_cache_victim_ = (owner_cache_victim_ + 1) % kOwnerCacheCapacity;
+}
+
+void OverlayRouter::EvictOwner(const NetAddress& owner) {
+  owner_cache_.erase(std::remove_if(owner_cache_.begin(), owner_cache_.end(),
+                                    [&](const OwnerRange& e) {
+                                      return e.host == owner.host &&
+                                             e.port == owner.port;
+                                    }),
+                     owner_cache_.end());
+}
+
+void OverlayRouter::SendOwnerRange(const NetAddress& to) {
+  Id pred;
+  if (!protocol_->PredecessorId(&pred)) return;
+  WireWriter w;
+  w.PutU8(kMsgOwnerRange);
+  w.PutU64(pred);
+  w.PutU64(local_id_);
+  TransportSend(to, std::move(w).data(), nullptr);
+}
+
+void OverlayRouter::HandleOwnerRange(const NetAddress& from,
+                                     std::string_view body) {
+  WireReader r(body);
+  uint64_t lo, hi;
+  if (!r.GetU64(&lo).ok() || !r.GetU64(&hi).ok()) return;
+  CacheOwnerRange(lo, hi, from);
 }
 
 }  // namespace pier

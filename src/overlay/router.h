@@ -7,7 +7,12 @@
 //     node (the mechanism behind PIER's distribution trees, hierarchical
 //     aggregation, and hierarchical joins, §3.3.6);
 //   * Lookup(): resolve an identifier to its owner's address — the first
-//     phase of the DHT's two-phase put/get (Figure 6);
+//     phase of the DHT's two-phase put/get (Figure 6). Each routed answer
+//     also names the owner's range (its predecessor's id, when the protocol
+//     knows it), and an owner-range cache of up to 64 such ranges answers
+//     later owner-only lookups at once: a cache hit skips phase one. The
+//     DHT keeps hits as fresh as a lookup by having each receiver check
+//     that it owns what it is sent (overlay/README.md, "Owner-range cache");
 //   * a direct-message extension point used by the object-storage layer.
 
 #ifndef PIER_OVERLAY_ROUTER_H_
@@ -18,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "overlay/object_id.h"
 #include "overlay/routing_protocol.h"
@@ -97,20 +103,36 @@ class OverlayRouter : public ProtocolHost {
 
   // --- Owner lookup (Figure 6, phase one) -----------------------------------
 
-  using LookupCallback =
-      std::function<void(const Result<NetAddress>& owner, Id owner_id)>;
+  /// `cached` is true when the owner-range cache answered: no message was
+  /// sent, and the owner is only as fresh as the range it came from, so a
+  /// caller that finds it dead or "not owner" should EvictOwner and look up
+  /// again.
+  using LookupCallback = std::function<void(const Result<NetAddress>& owner,
+                                            Id owner_id, bool cached)>;
 
   void Lookup(Id target, LookupCallback cb);
 
   /// Extended lookup for replica placement: besides the owner, the response
   /// carries up to `want_succs` of the OWNER's successors (the nodes that
   /// hold its replicas under successor-set replication). `want_succs = 0`
-  /// degenerates to the plain lookup.
+  /// degenerates to the plain lookup, the only kind the cache answers.
   using LookupExCallback = std::function<void(
       const Result<NetAddress>& owner, Id owner_id,
-      std::vector<NetAddress> successors)>;
+      std::vector<NetAddress> successors, bool cached)>;
 
   void LookupEx(Id target, size_t want_succs, LookupExCallback cb);
+
+  // --- Owner-range cache ---------------------------------------------------
+
+  /// Drop every cached range owned by `owner` (a send to it failed, or it
+  /// answered "not owner").
+  void EvictOwner(const NetAddress& owner);
+
+  /// Tell `to` this node's current range (pred, self], replacing whatever
+  /// its cache holds there. No-op while the predecessor is unknown.
+  void SendOwnerRange(const NetAddress& to);
+
+  size_t cached_owner_ranges() const { return owner_cache_.size(); }
 
   // --- Direct typed messages (object-layer extension point) -----------------
 
@@ -154,6 +176,7 @@ class OverlayRouter : public ProtocolHost {
     uint64_t lookups_started = 0;
     uint64_t lookups_ok = 0;
     uint64_t lookups_failed = 0;
+    uint64_t lookup_cache_hits = 0;  // owner lookups the range cache answered
     uint64_t route_dead_ends = 0;
     uint64_t coalesced_msgs = 0;  // messages that rode a multi-message bundle
     uint64_t bundles_sent = 0;    // bundle frames actually transmitted
@@ -175,12 +198,14 @@ class OverlayRouter : public ProtocolHost {
   static constexpr uint8_t kMsgLookupReq = 3;
   static constexpr uint8_t kMsgLookupResp = 4;
   static constexpr uint8_t kMsgBundle = 5;  // coalesced frame of N messages
+  static constexpr uint8_t kMsgOwnerRange = 6;  // sender's range (pred, self]
 
   void HandleMessage(const NetAddress& from, std::string_view payload);
   void HandleRoute(const NetAddress& from, std::string_view body);
   void HandleBundle(const NetAddress& from, std::string_view body);
-  void HandleLookupReq(const NetAddress& from, std::string_view body);
+  void HandleLookupReq(Id target, std::string_view body);
   void HandleLookupResp(std::string_view body);
+  void HandleOwnerRange(const NetAddress& from, std::string_view body);
   void ForwardRoute(RouteInfo info, std::string payload, int attempts);
   void Deliver(const RouteInfo& info, std::string_view payload);
   std::string EncodeRoute(const RouteInfo& info, std::string_view payload);
@@ -206,6 +231,22 @@ class OverlayRouter : public ProtocolHost {
   };
   std::unordered_map<uint64_t, PendingLookup> pending_lookups_;
   uint64_t next_lookup_id_ = 1;
+
+  /// One owner-range cache entry: ids in (lo, hi] belonged to the node at
+  /// host:port, whose own id is hi, when the range was learned.
+  struct OwnerRange {
+    Id lo;
+    Id hi;
+    uint32_t host;
+    uint16_t port;
+  };
+  static_assert(sizeof(OwnerRange) <= 24, "owner-range entries stay small");
+  static constexpr size_t kOwnerCacheCapacity = 64;
+  /// Flat, unordered, never overlapping; grows on demand to the capacity.
+  std::vector<OwnerRange> owner_cache_;
+  size_t owner_cache_victim_ = 0;  // round-robin replacement once full
+  /// Remember (lo, hi] -> owner, dropping the entries it supersedes.
+  void CacheOwnerRange(Id lo, Id hi, const NetAddress& owner);
 
   /// One destination's coalescing buffer: messages waiting for the window
   /// timer (or the byte cap) to flush them as one bundle.

@@ -4,8 +4,8 @@
 // simulated "packet" is an entire application message. A Topology supplies
 // pairwise propagation latency and per-node access bandwidth; a
 // CongestionModel turns (sender, receiver, size, now) into a delivery time.
-// Per the paper, two topology families (star and transit-stub) and three
-// congestion models (none, FIFO queuing, fair queuing) are provided. Loss is
+// The paper's simulator also has a star topology and fair queuing; this one
+// provides the transit-stub topology and no-congestion or FIFO queuing. Loss is
 // not modeled (the paper's simulator delivers all messages); node failure is
 // modeled by the harness dropping deliveries to/from dead nodes.
 
@@ -36,30 +36,8 @@ class Topology {
   virtual double UplinkBytesPerSec(uint32_t node) const = 0;
 
   /// Grow the topology to cover at least `n` nodes (assigns new nodes to
-  /// stubs / spokes deterministically from the topology's RNG).
+  /// stubs deterministically from the topology's RNG).
   virtual void EnsureNodes(uint32_t n) = 0;
-};
-
-/// Star topology: every node hangs off a central hub by an access link with
-/// its own latency; latency(a,b) = access(a) + access(b).
-class StarTopology : public Topology {
- public:
-  struct Options {
-    TimeUs min_access_latency = 5 * kMillisecond;
-    TimeUs max_access_latency = 50 * kMillisecond;
-    double uplink_bytes_per_sec = 1.25e6;  // ~10 Mbit/s DSL-ish uplink
-  };
-
-  StarTopology(Options options, uint64_t seed);
-
-  TimeUs Latency(uint32_t a, uint32_t b) const override;
-  double UplinkBytesPerSec(uint32_t node) const override;
-  void EnsureNodes(uint32_t n) override;
-
- private:
-  Options options_;
-  Rng rng_;
-  std::vector<TimeUs> access_;
 };
 
 /// GT-ITM-style transit-stub topology: a small mesh of transit routers, each
@@ -129,27 +107,9 @@ class FifoQueueModel : public CongestionModel {
   std::map<uint32_t, TimeUs> uplink_busy_until_;
 };
 
-/// Start-time fair queuing approximation on the sender's uplink: concurrent
-/// flows (distinct destinations) share the uplink equally, so one bulk flow
-/// cannot starve a small control message to a different destination.
-class FairQueueModel : public CongestionModel {
- public:
-  explicit FairQueueModel(Topology* topology) : topology_(topology) {}
-  TimeUs DeliveryTime(uint32_t src, uint32_t dst, size_t bytes, TimeUs now) override;
+enum class CongestionKind { kNone, kFifo };
 
- private:
-  Topology* topology_;
-  struct Uplink {
-    std::map<uint32_t, TimeUs> flow_finish;  // dst -> virtual finish time
-  };
-  std::map<uint32_t, Uplink> uplinks_;
-};
-
-enum class TopologyKind { kStar, kTransitStub };
-enum class CongestionKind { kNone, kFifo, kFair };
-
-/// Factory helpers used by SimHarness.
-std::unique_ptr<Topology> MakeTopology(TopologyKind kind, uint64_t seed);
+/// Factory helper used by SimHarness.
 std::unique_ptr<CongestionModel> MakeCongestionModel(CongestionKind kind,
                                                      Topology* topology);
 

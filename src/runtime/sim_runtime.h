@@ -46,7 +46,6 @@ class SimProgram {
 
 struct SimOptions {
   uint64_t seed = 1;
-  TopologyKind topology = TopologyKind::kTransitStub;
   CongestionKind congestion = CongestionKind::kNone;
   /// Max absolute per-node clock skew; each node's Now() is offset by a value
   /// uniform in [-max_clock_skew, +max_clock_skew]. Models the paper's

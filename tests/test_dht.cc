@@ -13,6 +13,7 @@
 #include "overlay/object_manager.h"
 #include "overlay/sim_overlay.h"
 #include "util/random.h"
+#include "util/wire.h"
 
 namespace pier {
 namespace {
@@ -264,6 +265,244 @@ TEST(DhtCoalesce, DisabledByDefault) {
     EXPECT_EQ(net.dht(i)->router()->stats().coalesced_msgs, 0u);
     EXPECT_EQ(net.dht(i)->router()->stats().bundles_sent, 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Owner-range cache: staleness and the lookup-response decoder
+// ---------------------------------------------------------------------------
+
+/// Up to `n` keys of namespace `ns` whose owner is node `owner`.
+std::vector<std::string> KeysOwnedBy(SimOverlay* net, const std::string& ns,
+                                     int owner, size_t n) {
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4096 && keys.size() < n; ++i) {
+    std::string candidate = "k" + std::to_string(i);
+    if (OwnerOf(net, ns, candidate) == owner) keys.push_back(candidate);
+  }
+  return keys;
+}
+
+/// Sum of every node's owner-redirect counter.
+uint64_t TotalRedirects(SimOverlay* net) {
+  uint64_t total = 0;
+  for (uint32_t i = 0; i < net->size(); ++i) {
+    if (net->harness()->IsAlive(i))
+      total += net->dht(i)->stats().owner_redirects;
+  }
+  return total;
+}
+
+TEST(OwnerCache, DeadCachedOwnerFallsBackToFreshLookup) {
+  SimOverlay net(16, SeededOptions(61));
+  const uint32_t origin = 2, writer = 5;
+  int dead = OwnerOf(&net, "oc", "k0");
+  ASSERT_GE(dead, 0);
+  ASSERT_NE(dead, static_cast<int>(origin));
+  ASSERT_NE(dead, static_cast<int>(writer));
+  std::vector<std::string> keys = KeysOwnedBy(&net, "oc", dead, 2);
+  ASSERT_EQ(keys.size(), 2u);
+  const std::string& put_key = keys[0];
+  const std::string& get_key = keys[1];
+
+  // Warm the origin: the first put resolves the owner through a routed
+  // lookup, the second rides the cached range.
+  net.dht(origin)->Put("oc", put_key, "warm", "w", 60 * kSecond);
+  net.RunFor(1 * kSecond);
+  net.dht(origin)->Put("oc", get_key, "warm", "w", 60 * kSecond);
+  net.RunFor(1 * kSecond);
+  OverlayRouter* router = net.dht(origin)->router();
+  ASSERT_EQ(router->stats().lookup_cache_hits, 1u);
+
+  // The cached owner dies; routing is repaired at once, so a fresh lookup
+  // finds the new owner, which the cache cannot know.
+  net.harness()->FailNode(static_cast<uint32_t>(dead));
+  net.SeedAll();
+  net.dht(writer)->Put("oc", get_key, "fresh", "f", 60 * kSecond);
+  net.RunFor(1 * kSecond);
+
+  TimeUs start = net.loop()->now();
+  TimeUs put_done_at = -1, get_done_at = -1;
+  Status put_status = Status::Internal("not called");
+  Status get_status = Status::Internal("not called");
+  std::vector<DhtItem> got;
+  net.dht(origin)->Put("oc", put_key, "after", "a", 60 * kSecond,
+                       [&](const Status& s) {
+                         put_status = s;
+                         put_done_at = net.loop()->now();
+                       });
+  net.dht(origin)->Get("oc", get_key,
+                       [&](const Status& s, std::vector<DhtItem> items) {
+                         get_status = s;
+                         got = std::move(items);
+                         get_done_at = net.loop()->now();
+                       });
+  EXPECT_EQ(router->stats().lookup_cache_hits, 3u) << "both went to the cache";
+  net.RunFor(12 * kSecond);
+
+  // Both succeed through one fresh lookup each, inside op_timeout. The
+  // fallback waits for the transport to give up on the dead owner: 31 RTOs,
+  // 8.7 s here.
+  const TimeUs op_timeout = Dht::Options{}.op_timeout;
+  ASSERT_TRUE(put_status.ok()) << put_status.ToString();
+  ASSERT_TRUE(get_status.ok()) << get_status.ToString();
+  EXPECT_LT(put_done_at - start, op_timeout);
+  EXPECT_LT(get_done_at - start, op_timeout);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].suffix, "fresh");
+  EXPECT_EQ(router->stats().lookup_cache_hits, 3u)
+      << "the dead owner's ranges must be evicted";
+
+  // The origin's put reached the new owner.
+  std::vector<DhtItem> after;
+  net.dht(writer)->Get("oc", put_key,
+                       [&](const Status& s, std::vector<DhtItem> items) {
+                         ASSERT_TRUE(s.ok());
+                         after = std::move(items);
+                       });
+  net.RunFor(2 * kSecond);
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].suffix, "after");
+}
+
+TEST(OwnerCache, JoinInsideCachedRangeRedirectsOnce) {
+  SimOverlay net(12, SeededOptions(62));
+  const uint32_t origin = 3;
+  // Fill the origin's cache with every node's range.
+  for (int i = 0; i < 64; ++i) {
+    net.dht(origin)->Get("jn", "w" + std::to_string(i),
+                         [](const Status&, std::vector<DhtItem>) {});
+  }
+  net.RunFor(2 * kSecond);
+  ASSERT_EQ(net.dht(origin)->router()->cached_owner_ranges(), 11u);
+
+  // A node joins inside one of those ranges; once the ring agrees on it,
+  // the range's old owner no longer owns the newcomer's keys.
+  uint32_t joined = net.AddNode();
+  net.SeedAll();
+  net.RunFor(1 * kSecond);
+  std::vector<std::string> keys =
+      KeysOwnedBy(&net, "jn", static_cast<int>(joined), 2);
+  ASSERT_EQ(keys.size(), 2u);
+  ASSERT_EQ(TotalRedirects(&net), 0u);
+
+  // The first put goes to the stale owner, which passes it on and corrects
+  // the origin's entry.
+  uint64_t hits = net.dht(origin)->router()->stats().lookup_cache_hits;
+  net.dht(origin)->Put("jn", keys[0], "s", "v1", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(net.dht(origin)->router()->stats().lookup_cache_hits, hits + 1);
+  EXPECT_EQ(TotalRedirects(&net), 1u);
+  EXPECT_EQ(net.dht(joined)->stats().routed_deliveries, 1u);
+
+  // A cold node finds it at the new owner.
+  std::vector<DhtItem> got;
+  net.dht(7)->Get("jn", keys[0],
+                   [&](const Status& s, std::vector<DhtItem> items) {
+                     ASSERT_TRUE(s.ok());
+                     got = std::move(items);
+                   });
+  net.RunFor(2 * kSecond);
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].value, "v1");
+
+  // The corrected entry sends the next put of that range straight to the
+  // new owner: no further redirect.
+  net.dht(origin)->Put("jn", keys[1], "s", "v2", 60 * kSecond);
+  net.dht(origin)->Put("jn", keys[0], "s2", "v3", 60 * kSecond);
+  net.RunFor(2 * kSecond);
+  EXPECT_EQ(TotalRedirects(&net), 1u);
+  EXPECT_EQ(net.dht(joined)->objects()->TotalObjects(), 3u);
+}
+
+TEST(OwnerCache, PrefixProtocolNeverCaches) {
+  SimOverlay::Options opts = SeededOptions(63);
+  opts.dht.router.protocol = ProtocolKind::kPrefix;
+  SimOverlay net(12, opts);
+  for (int i = 0; i < 24; ++i) {
+    net.dht(1)->Put("px", "k" + std::to_string(i % 8), "s" + std::to_string(i),
+                    "v" + std::to_string(i), 60 * kSecond);
+  }
+  net.RunFor(3 * kSecond);
+  std::map<std::string, size_t> counts;
+  for (int i = 0; i < 8; ++i) {
+    std::string key = "k" + std::to_string(i);
+    net.dht(1)->Get("px", key,
+                    [&, key](const Status& s, std::vector<DhtItem> items) {
+                      ASSERT_TRUE(s.ok());
+                      counts[key] = items.size();
+                    });
+  }
+  net.RunFor(3 * kSecond);
+  ASSERT_EQ(counts.size(), 8u);
+  for (const auto& [key, n] : counts) EXPECT_EQ(n, 3u) << key;
+  for (uint32_t i = 0; i < net.size(); ++i) {
+    EXPECT_EQ(net.dht(i)->router()->stats().lookup_cache_hits, 0u);
+    EXPECT_EQ(net.dht(i)->router()->cached_owner_ranges(), 0u);
+    EXPECT_EQ(net.dht(i)->stats().owner_redirects, 0u);
+  }
+}
+
+TEST(OwnerCache, LookupResponseDecoderToleratesMissingAndTruncatedRange) {
+  SimOverlay net(8, SeededOptions(64));
+  const uint32_t requester = 0;
+  Id target = RoutingId("dec", "k");
+  int owner = OwnerOf(&net, "dec", "k");
+  ASSERT_GE(owner, 0);
+  ASSERT_NE(owner, static_cast<int>(requester));
+  uint32_t injector = 1;
+  while (static_cast<int>(injector) == owner) injector++;
+  // The real owner is dead and nobody knows yet, so the routed lookup
+  // stalls in transport retries; the injector's forged answers arrive first.
+  net.harness()->FailNode(static_cast<uint32_t>(owner));
+  OverlayRouter* router = net.dht(requester)->router();
+  Dht* fake = net.dht(injector);
+
+  // A lookup response for `lookup_id` naming the injector as owner, with the
+  // given bytes after the (empty) successor list.
+  auto forge = [&](uint64_t lookup_id, const std::string& tail) {
+    WireWriter w;
+    w.PutU8(4);  // the router's lookup-response type
+    w.PutU64(lookup_id);
+    w.PutU64(fake->local_id());
+    w.PutU32(fake->local_address().host);
+    w.PutU16(fake->local_address().port);
+    w.PutU8(0);
+    w.PutRaw(tail);
+    fake->router()->transport()->Send(router->local_address(),
+                                      std::move(w).data());
+  };
+  WireWriter range;
+  range.PutU64(target - 1);
+  const std::string full = std::move(range).data();
+
+  // Lookup ids count from 1 per router. No predecessor field, then a
+  // truncated one, then (the control) a whole one.
+  const std::string tails[] = {"", full.substr(0, 3), full};
+  for (uint64_t id = 1; id <= 3; ++id) {
+    NetAddress answer;
+    bool was_cached = true;
+    router->Lookup(target, [&](const Result<NetAddress>& o, Id, bool cached) {
+      ASSERT_TRUE(o.ok());
+      answer = o.value();
+      was_cached = cached;
+    });
+    forge(id, tails[id - 1]);
+    net.RunFor(150 * kMillisecond);
+    EXPECT_EQ(answer, fake->local_address()) << "lookup " << id;
+    EXPECT_FALSE(was_cached);
+    EXPECT_EQ(router->cached_owner_ranges(), id == 3 ? 1u : 0u)
+        << "lookup " << id;
+  }
+
+  // The control's range now answers at once.
+  bool cached_hit = false;
+  router->Lookup(target,
+                 [&](const Result<NetAddress>& o, Id owner_id, bool cached) {
+                   cached_hit = cached && o.ok() &&
+                                o.value() == fake->local_address() &&
+                                owner_id == fake->local_id();
+                 });
+  EXPECT_TRUE(cached_hit);
 }
 
 // ---------------------------------------------------------------------------

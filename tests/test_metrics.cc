@@ -252,7 +252,7 @@ TEST(MetricsRegistry, ConcurrentRegistriesShareInternedNames) {
   }
 }
 
-// A node's registry is a fixed cost every simulated node pays: the 54
+// A node's registry is a fixed cost every simulated node pays: the 56
 // families RegisterNodeMetrics installs must fit in 4 KB of heap, measured
 // as the allocator's in-use delta over many fresh registries.
 TEST(MetricsFootprint, NodeRegistryFitsInFourKilobytes) {
@@ -274,7 +274,7 @@ TEST(MetricsFootprint, NodeRegistryFitsInFourKilobytes) {
   size_t after = mallinfo2().uordblks;
   // RegisterNodeMetrics re-pointed the processor at the last registry.
   qp->set_metrics(net.metrics(0));
-  ASSERT_EQ(regs.front()->num_families(), 54u);
+  ASSERT_EQ(regs.front()->num_families(), 56u);
   double per_registry =
       static_cast<double>(after - before) / static_cast<double>(kRegistries);
   RecordProperty("bytes_per_registry", static_cast<int>(per_registry));
