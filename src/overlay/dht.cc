@@ -94,6 +94,7 @@ Dht::~Dht() {
   for (auto& [id, op] : pending_) {
     (void)id;
     if (op.timer != 0) vri_->CancelEvent(op.timer);
+    if (op.cache_timer != 0) vri_->CancelEvent(op.cache_timer);
   }
 }
 
@@ -141,6 +142,11 @@ Result<Dht::WireObject> Dht::DecodeObject(std::string_view wire) {
   return obj;
 }
 
+bool Dht::FromCache(WireReader* r) {
+  uint8_t mark = 0;
+  return r->GetU8(&mark).ok() && mark == kFromCache;
+}
+
 void Dht::StoreFromView(const WireObjectView& v) {
   stats_.store_requests++;
   objects_->Put(ObjectNameView{v.ns, v.key, v.suffix}, v.value,
@@ -184,25 +190,22 @@ void Dht::PutToOwner(Id target, std::string frame, DoneCallback done,
       if (done) done(owner.status());
       return;
     }
-    if (!cached || !may_refresh) {
-      router_->SendFramed(owner.value(), std::move(frame),
-                          [done = std::move(done)](const Status& s) {
-                            if (done) done(s);
-                          });
-      return;
-    }
-    // The transport keeps its copy of the frame; this one serves the retry.
-    std::string sent = frame;
+    // Only a put to a cached owner can be retried; it keeps the unmarked
+    // frame for that, and the transport takes a marked copy.
+    bool retry = cached && may_refresh;
+    std::string retry_frame = retry ? frame : std::string();
+    if (cached) frame.push_back(static_cast<char>(kFromCache));
     router_->SendFramed(
-        owner.value(), std::move(sent),
-        [this, target, stale = owner.value(), frame = std::move(frame),
+        owner.value(), std::move(frame),
+        [this, target, retry, stale = owner.value(),
+         retry_frame = std::move(retry_frame),
          done = std::move(done)](const Status& s) mutable {
-          if (s.ok()) {
+          if (s.ok() || !retry) {
             if (done) done(s);
             return;
           }
           CachedOwnerUnreachable(stale);
-          PutToOwner(target, std::move(frame), std::move(done), false);
+          PutToOwner(target, std::move(retry_frame), std::move(done), false);
         });
   });
 }
@@ -445,6 +448,9 @@ void Dht::ShipBatch(const std::shared_ptr<BatchState>& st) {
         stats_.batched_puts += n;
         stats_.batch_msgs++;
       }
+      // A cached owner never holds a replicated chunk: the cache answers
+      // only lookups that want no successors.
+      if (og.cached) w.PutU8(kFromCache);
       frames.push_back(
           Frame{group, false, refreshable, owner, std::move(w).data()});
     }
@@ -532,14 +538,17 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
     auto it = pending_.find(op_id);
     if (it == pending_.end()) return;
     GetCallback cb2 = std::move(it->second.get_cb);
+    vri_->CancelEvent(it->second.cache_timer);
     pending_.erase(it);
     cb2(Status::TimedOut("dht get timed out"), {});
   });
+  op.ns = ns;
+  op.key = key;
   pending_[op_id] = std::move(op);
 
   if (k <= 1) {
     // Owner-only get: the classic wire exchange, byte-identical.
-    GetFromOwner(op_id, ns, key, true);
+    SendToOwner(op_id);
     return;
   }
 
@@ -560,8 +569,6 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
           return;
         }
         PendingOp& op = it->second;
-        op.ns = ns;
-        op.key = key;
         op.owner_id = owner_id;
         op.replicas = k;
         op.candidates.push_back(owner.value());
@@ -574,67 +581,86 @@ void Dht::Get(const std::string& ns, const std::string& key, GetCallback cb,
       });
 }
 
-void Dht::GetFromOwner(uint64_t op_id, std::string ns, std::string key,
-                       bool may_refresh) {
-  Id target = RoutingId(ns, key);
-  router_->Lookup(target, [this, op_id, ns = std::move(ns),
-                           key = std::move(key), may_refresh](
-                              const Result<NetAddress>& owner, Id,
-                              bool cached) {
+void Dht::SendToOwner(uint64_t op_id) {
+  auto pending = pending_.find(op_id);
+  if (pending == pending_.end()) return;
+  const PendingOp& op = pending->second;
+  router_->Lookup(RoutingId(op.ns, op.key), [this, op_id](
+                                                const Result<NetAddress>& owner,
+                                                Id, bool cached) {
     auto it = pending_.find(op_id);
     if (it == pending_.end()) return;
+    PendingOp& op = it->second;
     if (!owner.ok()) {
-      GetCallback cb2 = std::move(it->second.get_cb);
-      vri_->CancelEvent(it->second.timer);
+      GetCallback get_cb = std::move(op.get_cb);
+      DoneCallback done_cb = std::move(op.done_cb);
+      vri_->CancelEvent(op.timer);
       pending_.erase(it);
-      cb2(owner.status(), {});
+      if (get_cb) get_cb(owner.status(), {});
+      if (done_cb) done_cb(owner.status());
       return;
     }
     WireWriter w;
     w.PutU64(op_id);
     w.PutU32(router_->local_address().host);
     w.PutU16(router_->local_address().port);
-    w.PutBytes(ns);
-    w.PutBytes(key);
-    std::function<void(const Status&)> on_delivery;
-    if (cached && may_refresh) {
-      on_delivery = ArmRefresh(&it->second, owner.value(),
-                               [this, op_id, ns, key]() {
-                                 GetFromOwner(op_id, ns, key, false);
-                               });
+    w.PutBytes(op.ns);
+    w.PutBytes(op.key);
+    if (op.renew) {
+      w.PutBytes(op.suffix);
+      w.PutU64(static_cast<uint64_t>(EffectiveLifetime(op.lifetime)));
     }
-    router_->SendDirect(owner.value(), kMsgGetReq, std::move(w).data(),
-                        std::move(on_delivery));
+    if (cached) {
+      w.PutU8(kFromCache);
+      op.cached_owner = owner.value();
+      if (!op.refreshed) {
+        // A dead cached owner would hold the op until the transport gives
+        // up on it, past op_timeout: presume it gone after the deadline.
+        op.cache_timer =
+            vri_->ScheduleEvent(CachedAttemptDeadline(), [this, op_id]() {
+              auto it = pending_.find(op_id);
+              if (it == pending_.end()) return;
+              it->second.cache_timer = 0;
+              CachedOwnerUnreachable(it->second.cached_owner);
+            });
+      }
+    }
+    router_->SendDirect(owner.value(), op.renew ? kMsgRenewReq : kMsgGetReq,
+                        std::move(w).data(), nullptr);
   });
-}
-
-std::function<void(const Status&)> Dht::ArmRefresh(PendingOp* op,
-                                                   const NetAddress& owner,
-                                                   std::function<void()> redo) {
-  op->refresh = std::move(redo);
-  op->cached_owner = owner;
-  return [this, owner](const Status& s) {
-    if (!s.ok()) CachedOwnerUnreachable(owner);
-  };
 }
 
 void Dht::Refresh(uint64_t op_id) {
   auto it = pending_.find(op_id);
-  if (it == pending_.end() || !it->second.refresh) return;
-  std::function<void()> redo = std::move(it->second.refresh);
-  it->second.refresh = nullptr;
-  router_->EvictOwner(it->second.cached_owner);
-  redo();
+  if (it == pending_.end() || it->second.refreshed ||
+      it->second.cached_owner.IsNull())
+    return;
+  PendingOp& op = it->second;
+  vri_->CancelEvent(op.cache_timer);
+  op.cache_timer = 0;
+  router_->EvictOwner(op.cached_owner);
+  op.cached_owner = NetAddress{};
+  op.refreshed = true;
+  SendToOwner(op_id);
+}
+
+bool Dht::RedoNotOwner(uint64_t op_id, const NetAddress& from) {
+  const PendingOp& op = pending_.at(op_id);
+  // An attempt the op already left behind: wait for the current one.
+  if (from != op.cached_owner) return true;
+  // The redo reached a non-owner too: take its answer, as a lookup's.
+  if (op.refreshed) return false;
+  Refresh(op_id);
+  return true;
 }
 
 void Dht::CachedOwnerUnreachable(const NetAddress& dead) {
   router_->EvictOwner(dead);
-  // Every other op sent to the dead owner from the cache waits in the
-  // transport behind the message that just failed, and would wait out a
-  // full give-up of its own: redo them all now, in issue order.
+  // Every other get and renew sent to the dead owner from the cache would
+  // wait out its own deadline: redo them all now, in issue order.
   std::vector<uint64_t> ops;
   for (const auto& [id, op] : pending_) {
-    if (op.refresh && op.cached_owner == dead) ops.push_back(id);
+    if (op.cached_owner == dead) ops.push_back(id);
   }
   std::sort(ops.begin(), ops.end());
   for (uint64_t id : ops) Refresh(id);
@@ -680,7 +706,6 @@ void Dht::AdvanceGet(uint64_t op_id, size_t failed_attempt) {
 void Dht::Renew(const std::string& ns, const std::string& key,
                 const std::string& suffix, TimeUs lifetime, DoneCallback done) {
   stats_.renews++;
-  ObjectName name{ns, key, suffix};
   uint64_t op_id = next_op_id_++;
   PendingOp op;
   op.done_cb = std::move(done);
@@ -688,46 +713,17 @@ void Dht::Renew(const std::string& ns, const std::string& key,
     auto it = pending_.find(op_id);
     if (it == pending_.end()) return;
     DoneCallback cb2 = std::move(it->second.done_cb);
+    vri_->CancelEvent(it->second.cache_timer);
     pending_.erase(it);
     if (cb2) cb2(Status::TimedOut("dht renew timed out"));
   });
+  op.renew = true;
+  op.ns = ns;
+  op.key = key;
+  op.suffix = suffix;
+  op.lifetime = lifetime;
   pending_[op_id] = std::move(op);
-  RenewAtOwner(op_id, std::move(name), lifetime, true);
-}
-
-void Dht::RenewAtOwner(uint64_t op_id, ObjectName name, TimeUs lifetime,
-                       bool may_refresh) {
-  Id target = name.routing_id();
-  router_->Lookup(target, [this, op_id, name = std::move(name), lifetime,
-                           may_refresh](const Result<NetAddress>& owner, Id,
-                                        bool cached) {
-    auto it = pending_.find(op_id);
-    if (it == pending_.end()) return;
-    if (!owner.ok()) {
-      DoneCallback cb2 = std::move(it->second.done_cb);
-      vri_->CancelEvent(it->second.timer);
-      pending_.erase(it);
-      if (cb2) cb2(owner.status());
-      return;
-    }
-    WireWriter w;
-    w.PutU64(op_id);
-    w.PutU32(router_->local_address().host);
-    w.PutU16(router_->local_address().port);
-    w.PutBytes(name.ns);
-    w.PutBytes(name.key);
-    w.PutBytes(name.suffix);
-    w.PutU64(static_cast<uint64_t>(EffectiveLifetime(lifetime)));
-    std::function<void(const Status&)> on_delivery;
-    if (cached && may_refresh) {
-      on_delivery = ArmRefresh(&it->second, owner.value(),
-                               [this, op_id, name, lifetime]() {
-                                 RenewAtOwner(op_id, name, lifetime, false);
-                               });
-    }
-    router_->SendDirect(owner.value(), kMsgRenewReq, std::move(w).data(),
-                        std::move(on_delivery));
-  });
+  SendToOwner(op_id);
 }
 
 // ---------------------------------------------------------------------------
@@ -808,7 +804,7 @@ void Dht::HandlePut(const NetAddress& from, std::string_view body) {
   WireReader r(body);
   WireObjectView v;
   if (!DecodeObjectFrom(&r, &v).ok()) return;
-  if (OwnsOrUnsure(RoutingId(v.ns, v.key))) {
+  if (!FromCache(&r) || OwnsOrUnsure(RoutingId(v.ns, v.key))) {
     StoreFromView(v);
     return;
   }
@@ -829,23 +825,32 @@ void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
   // Batch-capable newData subscriptions see the frame's objects as ONE
   // grouped delivery of views after the store loop, instead of per-object
   // re-materialized callbacks.
+  std::vector<WireObjectView> views;
+  views.reserve(count);
+  bool complete = true;
+  for (uint64_t i = 0; complete && i < count; ++i) {
+    WireObjectView v;
+    complete = DecodeObjectFrom(&r, &v).ok();
+    if (complete) views.push_back(v);
+  }
+  // The cache mark trails the items; only a marked frame is owner-checked.
   // Items this node does not own are passed on after the grouped dispatch,
   // so one that routes back here (no better hop known) is a plain insert.
-  std::vector<WireObjectView> stored, misplaced;
-  stored.reserve(count);
+  bool from_cache = complete && FromCache(&r);
+  std::vector<WireObjectView> misplaced;
+  size_t stored = 0;
   collecting_batch_ = true;
-  for (uint64_t i = 0; i < count; ++i) {
-    WireObjectView v;
-    if (!DecodeObjectFrom(&r, &v).ok()) break;
-    if (!OwnsOrUnsure(RoutingId(v.ns, v.key))) {
+  for (const WireObjectView& v : views) {
+    if (from_cache && !OwnsOrUnsure(RoutingId(v.ns, v.key))) {
       misplaced.push_back(v);
       continue;
     }
     StoreFromView(v);
-    stored.push_back(v);
+    views[stored++] = v;
   }
   collecting_batch_ = false;
-  DispatchBatchNewData(stored);
+  views.resize(stored);
+  DispatchBatchNewData(views);
   if (misplaced.empty()) return;
   for (const WireObjectView& v : misplaced) Reroute(v);
   router_->SendOwnerRange(from);
@@ -904,10 +909,9 @@ void Dht::HandleGetReq(const NetAddress& from, std::string_view body) {
     w.PutBytes(obj->suffix());
     w.PutBytes(obj->value());
   }
-  // Trailing "not owner" flag, sent only by a non-owner: a requester that
-  // came from the range cache redoes the get; any other takes the items, as
-  // it always did.
-  if (!OwnsOrUnsure(RoutingId(ns, key))) {
+  // Trailing "not owner" flag, sent only to a request from the range cache
+  // that reached a non-owner: the requester redoes the get.
+  if (FromCache(&r) && !OwnsOrUnsure(RoutingId(ns, key))) {
     stats_.owner_redirects++;
     w.PutU8(1);
   }
@@ -933,12 +937,11 @@ void Dht::HandleGetResp(const NetAddress& from, std::string_view body) {
   }
   uint8_t not_owner = 0;
   if (complete && r.GetU8(&not_owner).ok() && not_owner != 0 &&
-      it->second.refresh && from == it->second.cached_owner) {
-    Refresh(op_id);
+      RedoNotOwner(op_id, from))
     return;
-  }
   GetCallback cb = std::move(it->second.get_cb);
   vri_->CancelEvent(it->second.timer);
+  vri_->CancelEvent(it->second.cache_timer);
   pending_.erase(it);
   if (cb) cb(Status::Ok(), std::move(items));
 }
@@ -1041,26 +1044,23 @@ void Dht::HandleRenewReq(const NetAddress& from, std::string_view body) {
   ObjectNameView name{ns, key, suffix};
   WireWriter w;
   w.PutU64(op_id);
-  if (!OwnsOrUnsure(name.routing_id())) {
-    // A non-owner's copy is stale: extending it would outlive the owner's.
-    // "Not found, not owner": a requester from the range cache redoes the
-    // renew, any other re-puts.
+  if (FromCache(&r) && !OwnsOrUnsure(name.routing_id())) {
+    // Sent here by a stale cache entry: "not found, not owner", which the
+    // requester redoes.
     stats_.owner_redirects++;
     w.PutU8(0);
     w.PutU8(1);
-    router_->SendDirect(NetAddress{host, port}, kMsgRenewResp,
-                        std::move(w).data(), nullptr);
-    return;
+  } else {
+    Status s = objects_->Renew(name, static_cast<TimeUs>(lifetime));
+    if (s.ok()) {
+      // A renewed replicated object has drifted from its replica copies'
+      // lifetimes: re-propagate it on the next repair tick.
+      const ObjectManager::Object* o = objects_->Find(name);
+      if (o != nullptr && !o->is_replica() && o->desired_replicas > 1)
+        repl_->RefreshReplicas(name);
+    }
+    w.PutU8(s.ok() ? 1 : 0);
   }
-  Status s = objects_->Renew(name, static_cast<TimeUs>(lifetime));
-  if (s.ok()) {
-    // A renewed replicated object has drifted from its replica copies'
-    // lifetimes: re-propagate it on the next repair tick.
-    const ObjectManager::Object* o = objects_->Find(name);
-    if (o != nullptr && !o->is_replica() && o->desired_replicas > 1)
-      repl_->RefreshReplicas(name);
-  }
-  w.PutU8(s.ok() ? 1 : 0);
   router_->SendDirect(NetAddress{host, port}, kMsgRenewResp, std::move(w).data(),
                       nullptr);
 }
@@ -1073,13 +1073,11 @@ void Dht::HandleRenewResp(const NetAddress& from, std::string_view body) {
   auto it = pending_.find(op_id);
   if (it == pending_.end()) return;
   uint8_t not_owner = 0;
-  if (r.GetU8(&not_owner).ok() && not_owner != 0 && it->second.refresh &&
-      from == it->second.cached_owner) {
-    Refresh(op_id);
+  if (r.GetU8(&not_owner).ok() && not_owner != 0 && RedoNotOwner(op_id, from))
     return;
-  }
   DoneCallback cb = std::move(it->second.done_cb);
   vri_->CancelEvent(it->second.timer);
+  vri_->CancelEvent(it->second.cache_timer);
   pending_.erase(it);
   if (cb) cb(ok ? Status::Ok() : Status::NotFound("renew: object not present"));
 }

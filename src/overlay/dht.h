@@ -11,10 +11,11 @@
 // mapping, then a direct point-to-point message performs the operation. send
 // routes the object through the overlay in a single call, giving every node
 // on the path an upcall (Figure 6). The router's owner-range cache may
-// answer the lookup from an earlier one, so every receiver checks that it
-// owns what it is sent: a misplaced put is re-routed to its owner, and a
-// misplaced get or renew answers "not owner", which a sender that used the
-// cache redoes once through a fresh lookup.
+// answer the lookup from an earlier one, so a request sent from the cache is
+// marked, and its receiver checks that it owns what it is sent: a misplaced
+// put is re-routed to its owner, and a misplaced get or renew answers "not
+// owner", which the sender redoes once through a fresh lookup, as it does a
+// get or renew the cached owner leaves unanswered past a short deadline.
 
 #ifndef PIER_OVERLAY_DHT_H_
 #define PIER_OVERLAY_DHT_H_
@@ -296,6 +297,19 @@ class Dht {
   /// kMsgPutBatch frame: the sender chunks bigger groups, the receiver
   /// drops frames past it as malformed.
   static constexpr size_t kMaxBatchEntriesPerFrame = 4096;
+  /// Trailing mark of a kMsgPut, kMsgPutBatch, kMsgGetReq or kMsgRenewReq
+  /// sent to an owner from the range cache. Only marked requests pass the
+  /// owner check; unmarked ones are served as they always were, and older
+  /// decoders ignore the byte.
+  static constexpr uint8_t kFromCache = 1;
+  /// Whether the request `r` has just been read from carries kFromCache.
+  static bool FromCache(WireReader* r);
+  /// How long a cached owner has to answer a get or renew before it is
+  /// presumed gone. One round trip replaces a lookup's several hops, so a
+  /// quarter of the lookup's budget still leaves room for retransmissions.
+  TimeUs CachedAttemptDeadline() const {
+    return options_.router.lookup_timeout / 4;
+  }
 
   /// A decoded object whose fields alias the receive buffer (no copies until
   /// the store itself). Used by the put/batch handlers.
@@ -317,7 +331,7 @@ class Dht {
   void HandleRenewReq(const NetAddress& from, std::string_view body);
   void HandleRenewResp(const NetAddress& from, std::string_view body);
   void HandleRoutedDelivery(const RouteInfo& info, std::string_view payload);
-  /// The owner check every primary put, get and renew passes at its
+  /// The owner check a put, get or renew from the range cache passes at its
   /// receiver: the node owns `id`, or does not know its range yet.
   bool OwnsOrUnsure(Id id) const;
   /// Send a put this node does not own on toward its owner, over the routed
@@ -336,8 +350,9 @@ class Dht {
   void PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
                      int replicas, DoneCallback done);
   /// The owner-only put: resolve, then ship the finished kMsgPut frame. A
-  /// cached owner that cannot be reached costs one fresh lookup
-  /// (`may_refresh`), not a failure.
+  /// cached owner the transport gives up on costs one fresh lookup
+  /// (`may_refresh`), not a failure. A put is resent only then: a second copy
+  /// of a delivered one would fire newData twice.
   void PutToOwner(Id target, std::string frame, DoneCallback done,
                   bool may_refresh);
   /// PutBatch's two phases: resolve the owners of `indices`, then ship one
@@ -347,22 +362,17 @@ class Dht {
                     std::vector<size_t> indices);
   void ShipBatch(const std::shared_ptr<BatchState>& st);
   void FinishBatchIfIdle(const std::shared_ptr<BatchState>& st);
-  /// The owner-only get and renew, sent to the current owner.
-  void GetFromOwner(uint64_t op_id, std::string ns, std::string key,
-                    bool may_refresh);
-  void RenewAtOwner(uint64_t op_id, ObjectName name, TimeUs lifetime,
-                    bool may_refresh);
-  struct PendingOp;
-  /// Arm `op`, whose attempt goes to `owner` from the range cache, to `redo`
-  /// itself once; returns the attempt's delivery callback.
-  std::function<void(const Status&)> ArmRefresh(PendingOp* op,
-                                                const NetAddress& owner,
-                                                std::function<void()> redo);
-  /// Op `op_id`'s cached owner answered "not owner": evict it and redo the
-  /// op through a fresh lookup, once.
+  /// The owner-only get or renew `op_id`: resolve its owner, then send the
+  /// request there.
+  void SendToOwner(uint64_t op_id);
+  /// Op `op_id`'s cached owner answered "not owner" or missed the deadline:
+  /// evict it and redo the op through a fresh lookup, once.
   void Refresh(uint64_t op_id);
-  /// A send to cached owner `dead` failed: evict it and refresh every get
-  /// and renew still waiting on it.
+  /// Op `op_id` got "not owner" from `from`: redo it, or drop an answer to
+  /// an attempt it left behind. False when the answer stands.
+  bool RedoNotOwner(uint64_t op_id, const NetAddress& from);
+  /// Cached owner `dead` failed a send or missed a deadline: evict it and
+  /// refresh every get and renew still waiting on it.
   void CachedOwnerUnreachable(const NetAddress& dead);
   /// Issue (or re-issue) the read-any get to the current candidate.
   void SendGetAttempt(uint64_t op_id);
@@ -382,17 +392,23 @@ class Dht {
     GetCallback get_cb;
     DoneCallback done_cb;
     uint64_t timer = 0;
-    // Read-any state (replicated gets only).
+    // Read-any state (replicated gets only), and the object of every get.
     std::string ns;
     std::string key;
     std::vector<NetAddress> candidates;  // owner first, then its successors
     size_t attempt = 0;
     Id owner_id = 0;
     int replicas = 0;
-    /// Set while the current attempt went to `cached_owner`, an owner from
-    /// the range cache: redoes the op through a fresh lookup (see Refresh).
-    std::function<void()> refresh;
+    // Owner-only get and renew state (ns and key above name the object).
+    bool renew = false;
+    std::string suffix;   // a renew's object
+    TimeUs lifetime = 0;  // a renew's new lifetime
+    /// The owner the current attempt went to from the range cache (null
+    /// otherwise), and that attempt's deadline (first attempt only); see
+    /// Refresh.
     NetAddress cached_owner;
+    uint64_t cache_timer = 0;
+    bool refreshed = false;  // the one fresh-lookup redo is spent
   };
   std::unordered_map<uint64_t, PendingOp> pending_;
   uint64_t next_op_id_ = 1;

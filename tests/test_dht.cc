@@ -321,9 +321,10 @@ TEST(OwnerCache, DeadCachedOwnerFallsBackToFreshLookup) {
   net.RunFor(1 * kSecond);
 
   TimeUs start = net.loop()->now();
-  TimeUs put_done_at = -1, get_done_at = -1;
+  TimeUs put_done_at = -1, get_done_at = -1, late_put_done_at = -1;
   Status put_status = Status::Internal("not called");
   Status get_status = Status::Internal("not called");
+  Status late_put_status = Status::Internal("not called");
   std::vector<DhtItem> got;
   net.dht(origin)->Put("oc", put_key, "after", "a", 60 * kSecond,
                        [&](const Status& s) {
@@ -337,22 +338,36 @@ TEST(OwnerCache, DeadCachedOwnerFallsBackToFreshLookup) {
                          get_done_at = net.loop()->now();
                        });
   EXPECT_EQ(router->stats().lookup_cache_hits, 3u) << "both went to the cache";
-  net.RunFor(12 * kSecond);
 
-  // Both succeed through one fresh lookup each, inside op_timeout. The
-  // fallback waits for the transport to give up on the dead owner: 31 RTOs,
-  // 8.7 s here.
+  // The get gives the silent cached owner a quarter of the lookup budget,
+  // then redoes itself through one fresh lookup: well inside op_timeout.
   const TimeUs op_timeout = Dht::Options{}.op_timeout;
-  ASSERT_TRUE(put_status.ok()) << put_status.ToString();
+  net.RunFor(op_timeout / 4);
   ASSERT_TRUE(get_status.ok()) << get_status.ToString();
-  EXPECT_LT(put_done_at - start, op_timeout);
-  EXPECT_LT(get_done_at - start, op_timeout);
+  EXPECT_LT(get_done_at - start, op_timeout / 4);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].suffix, "fresh");
-  EXPECT_EQ(router->stats().lookup_cache_hits, 3u)
-      << "the dead owner's ranges must be evicted";
 
-  // The origin's put reached the new owner.
+  // The missed deadline evicted the dead owner: a put issued now goes to
+  // the new owner at once.
+  TimeUs late_start = net.loop()->now();
+  net.dht(origin)->Put("oc", put_key, "late", "l", 60 * kSecond,
+                       [&](const Status& s) {
+                         late_put_status = s;
+                         late_put_done_at = net.loop()->now();
+                       });
+  net.RunFor(1 * kSecond);
+  ASSERT_TRUE(late_put_status.ok()) << late_put_status.ToString();
+  EXPECT_LT(late_put_done_at - late_start, 1 * kSecond);
+
+  // The put already sent to the dead owner is resent only once the
+  // transport gives up on it (a put that might have been delivered is never
+  // sent twice), then succeeds through one fresh lookup.
+  net.RunFor(op_timeout);
+  ASSERT_TRUE(put_status.ok()) << put_status.ToString();
+  EXPECT_GT(put_done_at, late_put_done_at);
+
+  // Both of the origin's puts reached the new owner.
   std::vector<DhtItem> after;
   net.dht(writer)->Get("oc", put_key,
                        [&](const Status& s, std::vector<DhtItem> items) {
@@ -360,8 +375,10 @@ TEST(OwnerCache, DeadCachedOwnerFallsBackToFreshLookup) {
                          after = std::move(items);
                        });
   net.RunFor(2 * kSecond);
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_EQ(after[0].suffix, "after");
+  ASSERT_EQ(after.size(), 2u);
+  std::vector<std::string> suffixes{after[0].suffix, after[1].suffix};
+  std::sort(suffixes.begin(), suffixes.end());
+  EXPECT_EQ(suffixes, (std::vector<std::string>{"after", "late"}));
 }
 
 TEST(OwnerCache, JoinInsideCachedRangeRedirectsOnce) {
