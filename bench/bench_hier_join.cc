@@ -7,8 +7,12 @@
 // hierarchical join, nodes on the paths to the owner cache in-flight tuples,
 // emit matches "early", and the owner suppresses the pairs already produced.
 // We report where results were produced and the peak per-node out-bytes.
+//
+// Self-checking: both strategies must report exactly the ground-truth join
+// size; the bench exits nonzero otherwise.
 
 #include <algorithm>
+#include <cstdio>
 
 #include "bench/bench_common.h"
 #include "util/logging.h"
@@ -149,7 +153,7 @@ uint64_t GroundTruth(uint64_t seed) {
   return total;
 }
 
-void Run() {
+int Run() {
   bench::Title("E7: hierarchical join under Zipf(" + bench::Fmt(kSkew) +
                ") key skew");
   bench::Note(std::to_string(kRowsPerSide) + " rows/side over " +
@@ -157,8 +161,8 @@ void Run() {
               " nodes");
   Outcome rehash = RunJoin(false, 31);
   Outcome hier = RunJoin(true, 31);
-  bench::Note("exact join size (ground truth): " +
-              std::to_string(GroundTruth(32)));
+  const uint64_t truth = GroundTruth(32);
+  bench::Note("exact join size (ground truth): " + std::to_string(truth));
 
   std::vector<int> w = {12, 10, 18, 12, 12};
   bench::Row({"strategy", "results", "max node out-bytes", "early", "owner"}, w);
@@ -173,12 +177,19 @@ void Run() {
       "expected shape: identical result counts; the hierarchical join "
       "produces a meaningful share of results early (at path nodes), "
       "lowering the hottest node's out-bytes relative to rehash.");
+  if (rehash.results != truth || hier.results != truth) {
+    std::fprintf(stderr,
+                 "FAIL: join sizes differ from the ground truth %llu "
+                 "(rehash %llu, hier %llu)\n",
+                 static_cast<unsigned long long>(truth),
+                 static_cast<unsigned long long>(rehash.results),
+                 static_cast<unsigned long long>(hier.results));
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
 }  // namespace pier
 
-int main() {
-  pier::Run();
-  return 0;
-}
+int main() { return pier::Run(); }

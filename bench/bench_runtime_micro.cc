@@ -2,12 +2,13 @@
 // runtime primitives every PIER operation is built from (Main Scheduler
 // event dispatch, timer cancellation, simulated UDP delivery, wire codec,
 // tuple codec), plus the headline batch-dataflow comparison: the same
-// selection+projection pipeline driven tuple-at-a-time (Consume) vs
-// batch-at-a-time (ProcessBatch).
+// selection+projection pipeline run by the batch operators (ProcessBatch)
+// vs a tuple-at-a-time reference loop that evaluates the same expressions on
+// heap Tuples.
 //
 // Self-contained harness (no external benchmark dependency). Self-checking:
-// both dataflow paths must produce identical row counts and checksums, and
-// the batch path must sustain >= 2x the per-tuple path's single-thread
+// both pipelines must produce identical row counts and checksums, and the
+// batch operators must sustain >= 2x the per-tuple loop's single-thread
 // throughput; either violation exits nonzero. PIER_BENCH_JSON=<path> writes
 // the deterministic fields (counts, checksums, pass booleans — never
 // timings) for the CI golden diff.
@@ -164,20 +165,23 @@ double BenchRoutingIdHash() {
 constexpr size_t kRows = 65536;
 constexpr size_t kBatchRows = 1024;
 
-/// Terminal sink: counts rows and chains their content hashes in arrival
-/// order. RowHash matches Tuple::Hash, so the two paths must agree exactly.
+/// Chains a row's content hash into a running checksum. RowHash matches
+/// Tuple::Hash, so the two pipelines must agree exactly.
+uint64_t Chain(uint64_t checksum, uint64_t row_hash) {
+  return checksum * 1099511628211ull ^ row_hash;
+}
+
+/// Terminal sink of the batch pipeline: counts rows and chains their content
+/// hashes in arrival order.
 class CollectorOp : public Operator {
  public:
   using Operator::Operator;
-  void Consume(int, uint32_t, Tuple t) override {
-    count_++;
-    checksum_ = checksum_ * 1099511628211ull ^ t.Hash();
-  }
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
     count_ += n;
-    for (size_t r = 0; r < n; ++r)
-      checksum_ = checksum_ * 1099511628211ull ^ batch.RowHash(r);
+    for (size_t r = 0; r < n; ++r) {
+      checksum_ = Chain(checksum_, batch.RowHash(r));
+    }
   }
   void Reset() { count_ = 0, checksum_ = 0; }
   uint64_t count() const { return count_; }
@@ -208,20 +212,55 @@ struct PipelineResult {
   double ns_per_row = 0;
 };
 
+ExprPtr ParseOrDie(const char* text) {
+  Result<ExprPtr> e = ParseExpr(text);
+  PIER_CHECK(e.ok());
+  return *e;
+}
+
+/// The tuple-at-a-time reference pipeline: selection (b < 499), projection
+/// (a, src; twice = a * 2) and a counting sink as three stages over heap
+/// Tuples, evaluated through the same Expr trees the operators use. Each
+/// stage takes its row by value, so every hand-off copies the Tuple, as a
+/// per-tuple push interface between operators does; that per-hop copy is
+/// part of the per-row cost batches remove.
+PipelineResult RunPerTuple(const std::vector<Tuple>& rows) {
+  ExprPtr pred = ParseOrDie("b < 499");
+  ExprPtr twice = ParseOrDie("a * 2");
+  const std::vector<std::string> cols = {"a", "src"};
+  PipelineResult out;
+  auto sink = [&out](Tuple t) {
+    out.count++;
+    out.checksum = Chain(out.checksum, t.Hash());
+  };
+  auto project = [&](Tuple t) {
+    Tuple projected = t.Project(cols);
+    Result<Value> v = twice->Eval(t);
+    if (!v.ok()) return;  // best-effort: discard the whole row
+    projected.Append("twice", std::move(v).value());
+    sink(projected);
+  };
+  auto select = [&](Tuple t) {
+    Result<bool> keep = pred->EvalPredicate(t);
+    if (keep.ok() && *keep) project(t);
+  };
+  out.ns_per_row = NsPerOp(kRows, [&]() {
+    out.count = 0;
+    out.checksum = 0;
+    for (const Tuple& t : rows) select(t);
+  });
+  return out;
+}
+
 /// Builds selection[b < 499] -> projection[a, src; twice = a * 2] ->
-/// collector, then drives `rows` through it via the requested path.
-PipelineResult RunPipeline(const std::vector<Tuple>& rows,
-                           const std::vector<TupleBatch>& batches,
-                           bool batch_path) {
-  Result<ExprPtr> pred = ParseExpr("b < 499");
-  Result<ExprPtr> twice = ParseExpr("a * 2");
-  PIER_CHECK(pred.ok() && twice.ok());
+/// collector and pushes `batches` through it.
+PipelineResult RunBatchPipeline(const std::vector<TupleBatch>& batches) {
   OpSpec sel_spec(1, OpKind::kSelection);
-  sel_spec.SetExpr("pred", *pred);
+  sel_spec.SetExpr("pred", ParseOrDie("b < 499"));
   OpSpec proj_spec(2, OpKind::kProjection);
   proj_spec.SetStrings("cols", {"a", "src"});
   proj_spec.Set("out0", "twice");
-  proj_spec.SetExpr("expr0", *twice);
+  proj_spec.SetExpr("expr0", ParseOrDie("a * 2"));
 
   Result<std::unique_ptr<Operator>> sel_r = MakeOperator(sel_spec);
   Result<std::unique_ptr<Operator>> proj_r = MakeOperator(proj_spec);
@@ -237,15 +276,10 @@ PipelineResult RunPipeline(const std::vector<Tuple>& rows,
   sel->AddOutput(proj.get(), 0);
   proj->AddOutput(&collector, 0);
 
-  Operator* head = sel.get();
   PipelineResult out;
   out.ns_per_row = NsPerOp(kRows, [&]() {
     collector.Reset();
-    if (batch_path) {
-      for (const TupleBatch& b : batches) head->ProcessBatch(0, 0, b);
-    } else {
-      for (const Tuple& t : rows) head->Consume(0, 0, t);
-    }
+    for (const TupleBatch& b : batches) sel->ProcessBatch(0, 0, b);
   });
   out.count = collector.count();
   out.checksum = collector.checksum();
@@ -276,8 +310,8 @@ int Run() {
         rows.begin() + static_cast<long>(off + n))));
   }
 
-  PipelineResult scalar = RunPipeline(rows, batches, /*batch_path=*/false);
-  PipelineResult batch = RunPipeline(rows, batches, /*batch_path=*/true);
+  PipelineResult scalar = RunPerTuple(rows);
+  PipelineResult batch = RunBatchPipeline(batches);
   double speedup = scalar.ns_per_row / batch.ns_per_row;
 
   std::vector<int> w = {14, 12, 18, 10, 10};

@@ -328,6 +328,12 @@ TupleBatch TupleBatch::FromTuples(const std::vector<Tuple>& tuples) {
   return b.Finish();
 }
 
+TupleBatch TupleBatch::FromTuple(const Tuple& t) {
+  TupleBatchBuilder b(SchemaOf(t));
+  b.AppendTuple(t);
+  return b.Finish();
+}
+
 TupleBatchBuilder::TupleBatchBuilder(BatchSchemaPtr schema)
     : schema_(std::move(schema)) {}
 

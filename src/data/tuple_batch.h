@@ -17,8 +17,9 @@
 //     Tuples) first.
 //
 // Row accessors (RowTuple / EncodeRowTo / RowPartitionKey / RowHash) are
-// byte- and hash-identical to the equivalent Tuple operations, which is what
-// keeps the batch path's answer streams byte-identical to the per-tuple path.
+// byte- and hash-identical to the equivalent Tuple operations, so a row
+// leaves the dataflow (answer frame, stored object, client callback) exactly
+// as the Tuple it was published as.
 
 #ifndef PIER_DATA_TUPLE_BATCH_H_
 #define PIER_DATA_TUPLE_BATCH_H_
@@ -106,7 +107,8 @@ class TupleBatch {
 
   // --- Row operations (identical to the Tuple equivalents) --------------------
 
-  /// Materialize one row as a heap Tuple (the singleton-fallback path).
+  /// Materialize one row as a heap Tuple: for the client boundary (answer
+  /// delivery) and for operator state kept as Tuples.
   Tuple RowTuple(size_t row) const;
   /// Byte-identical to Tuple::EncodeTo of RowTuple(row).
   void EncodeRowTo(size_t row, WireWriter* w) const;
@@ -143,6 +145,9 @@ class TupleBatch {
   /// (REQUIRES: every tuple matches the schema of the first; returns an
   /// empty batch for empty input).
   static TupleBatch FromTuples(const std::vector<Tuple>& tuples);
+  /// A 1-row batch holding `t`: how an operator that computes a row as a
+  /// Tuple (a join match, a finalized group) pushes it downstream.
+  static TupleBatch FromTuple(const Tuple& t);
 
  private:
   friend class TupleBatchBuilder;

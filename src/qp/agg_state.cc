@@ -1,5 +1,8 @@
 #include "qp/agg_state.h"
 
+#include <algorithm>
+#include <array>
+
 namespace pier {
 
 const char* AggFuncName(AggFunc f) {
@@ -149,19 +152,14 @@ void AggState::ToPartialColumns(const std::string& alias, Tuple* out) const {
   out->Append(alias + "#mx", max_);
 }
 
-bool AggState::FromPartialColumns(const Tuple& t, const std::string& alias) {
-  const Value* n = t.Get(alias + "#n");
-  const Value* s = t.Get(alias + "#s");
-  const Value* mn = t.Get(alias + "#mn");
-  const Value* mx = t.Get(alias + "#mx");
-  if (n == nullptr || s == nullptr || mn == nullptr || mx == nullptr)
-    return false;
-  Result<int64_t> c = n->AsInt64();
+bool AggState::FromPartialValues(const Value& n, const Value& s,
+                                 const Value& mn, const Value& mx) {
+  Result<int64_t> c = n.AsInt64();
   if (!c.ok()) return false;
   count_ = *c;
-  sum_ = *s;
-  min_ = *mn;
-  max_ = *mx;
+  sum_ = s;
+  min_ = mn;
+  max_ = mx;
   return true;
 }
 
@@ -179,6 +177,60 @@ Result<AggState> AggState::DecodeFrom(WireReader* r) {
   PIER_ASSIGN_OR_RETURN(s.min_, Value::DecodeFrom(r));
   PIER_ASSIGN_OR_RETURN(s.max_, Value::DecodeFrom(r));
   return s;
+}
+
+void FoldBatch(const TupleBatch& batch, const std::vector<std::string>& keys,
+               const std::vector<AggSpec>& aggs, bool merge_partials,
+               AggGroups* groups) {
+  const BatchSchema& in = *batch.schema();
+  // Resolve key and aggregate columns once per batch.
+  std::vector<int> key_idx(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    key_idx[i] = in.Index(keys[i]);
+    if (key_idx[i] < 0) return;
+  }
+  // Per aggregate: its input column, or its four partial-state columns.
+  std::vector<std::array<int, 4>> agg_idx(aggs.size());
+  for (size_t i = 0; i < aggs.size(); ++i) {
+    const std::string& a = aggs[i].alias;
+    if (merge_partials) {
+      agg_idx[i] = {in.Index(a + "#n"), in.Index(a + "#s"),
+                    in.Index(a + "#mn"), in.Index(a + "#mx")};
+    } else {
+      agg_idx[i][0] = aggs[i].col.empty() ? -1 : in.Index(aggs[i].col);
+    }
+  }
+  auto at = [&batch](size_t row, int col) {
+    return batch.ValueAt(row, static_cast<size_t>(col));
+  };
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    // RowPartitionKey over the (all-present) keys is the canonical-string
+    // group key.
+    AggGroup& g = (*groups)[batch.RowPartitionKey(r, keys)];
+    if (g.states.empty()) {
+      Tuple kt(in.table);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        kt.Append(keys[i], at(r, key_idx[i]));
+      }
+      g.key = std::move(kt);
+      g.states.resize(aggs.size());
+    }
+    for (size_t i = 0; i < aggs.size(); ++i) {
+      const std::array<int, 4>& idx = agg_idx[i];
+      if (!merge_partials) {
+        const bool present = idx[0] >= 0;
+        g.states[i].UpdateValue(
+            aggs[i], present ? at(r, idx[0]) : Value::Null(), present);
+        continue;
+      }
+      if (*std::min_element(idx.begin(), idx.end()) < 0) continue;
+      AggState incoming;
+      if (incoming.FromPartialValues(at(r, idx[0]), at(r, idx[1]),
+                                     at(r, idx[2]), at(r, idx[3]))) {
+        g.states[i].Merge(incoming);
+      }
+    }
+  }
 }
 
 }  // namespace pier

@@ -9,10 +9,12 @@
 #ifndef PIER_QP_AGG_STATE_H_
 #define PIER_QP_AGG_STATE_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "data/tuple.h"
+#include "data/tuple_batch.h"
 #include "data/value.h"
 #include "util/status.h"
 #include "util/wire.h"
@@ -44,8 +46,8 @@ class AggState {
   /// Fold one input tuple in (skips tuples lacking the column: best-effort).
   void Update(const AggSpec& spec, const Tuple& t);
 
-  /// Value-level fold for the vectorized batch path: the caller resolved the
-  /// column (`present` = the row has it). Identical semantics to Update.
+  /// Value-level fold for batch rows: the caller resolved the column
+  /// (`present` = the row has it). Identical semantics to Update.
   void UpdateValue(const AggSpec& spec, const Value& v, bool present);
 
   /// Merge another partial state (associative, commutative).
@@ -62,8 +64,10 @@ class AggState {
   /// "<alias>#mn", "<alias>#mx" (the mode=partial wire format).
   void ToPartialColumns(const std::string& alias, Tuple* out) const;
 
-  /// Rebuild from partial columns; false if they are absent/malformed.
-  bool FromPartialColumns(const Tuple& t, const std::string& alias);
+  /// Rebuild from the values of the four partial columns (in the order
+  /// ToPartialColumns writes them); false if the count is not an integer.
+  bool FromPartialValues(const Value& n, const Value& s, const Value& mn,
+                         const Value& mx);
 
   void EncodeTo(WireWriter* w) const;
   static Result<AggState> DecodeFrom(WireReader* r);
@@ -74,6 +78,27 @@ class AggState {
   Value min_;
   Value max_;
 };
+
+/// One group of a hash aggregation: the group-key tuple (the key columns
+/// under the input's table name) and one state per aggregate.
+struct AggGroup {
+  Tuple key;
+  std::vector<AggState> states;
+};
+
+/// Groups by canonical group-key string. Ordered, so groups are emitted in
+/// the same order on every run.
+using AggGroups = std::map<std::string, AggGroup>;
+
+/// Fold every row of `batch` into `groups`. A batch whose schema lacks a key
+/// column is discarded whole (best effort: every row lacks it). With
+/// `merge_partials` (GroupBy mode=final), each aggregate merges the partial
+/// state a row carries in its "<alias>#n/#s/#mn/#mx" columns instead of
+/// folding an input column; an aggregate whose partial columns the schema
+/// lacks is skipped.
+void FoldBatch(const TupleBatch& batch, const std::vector<std::string>& keys,
+               const std::vector<AggSpec>& aggs, bool merge_partials,
+               AggGroups* groups);
 
 }  // namespace pier
 

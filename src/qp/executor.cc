@@ -238,22 +238,11 @@ Status QueryExecutor::StartGraphs(const QueryPlan& meta,
     // the proxy dies mid-run, failover re-points rq.meta.proxy at a
     // successor and every already-running instance follows without a
     // re-instantiation.
-    cx.emit_result = [this, qid](const Tuple& t) {
-      if (!result_sink_) return;
+    cx.emit_result = [this, qid](const TupleBatch& b) {
+      if (!answer_sink_) return;
       auto qit = queries_.find(qid);
       if (qit == queries_.end()) return;  // racing teardown: drop
-      result_sink_(qid, qit->second.meta.proxy, t);
-    };
-    cx.emit_result_batch = [this, qid](const TupleBatch& b) {
-      auto qit = queries_.find(qid);
-      if (qit == queries_.end()) return;  // racing teardown: drop
-      if (batch_result_sink_) {
-        batch_result_sink_(qid, qit->second.meta.proxy, b);
-        return;
-      }
-      if (!result_sink_) return;
-      for (size_t r = 0; r < b.num_rows(); ++r)
-        result_sink_(qid, qit->second.meta.proxy, b.RowTuple(r));
+      answer_sink_(qid, qit->second.meta.proxy, b);
     };
     cx.request_stop = [this, qid]() { StopQuery(qid); };
     cx.observe_publish = publish_observer_;
@@ -559,14 +548,6 @@ Operator* QueryExecutor::FindOp(uint64_t query_id, uint32_t graph_id,
     if (inst->graph_id() == graph_id) return inst->FindOp(op_id);
   }
   return nullptr;
-}
-
-Status QueryExecutor::InjectTuple(uint64_t query_id, uint32_t graph_id,
-                                  uint32_t op_id, const Tuple& t) {
-  Operator* op = FindOp(query_id, graph_id, op_id);
-  if (op == nullptr) return Status::NotFound("no such operator");
-  op->InjectDownstream(t);
-  return Status::Ok();
 }
 
 Status QueryExecutor::InjectBatch(uint64_t query_id, uint32_t graph_id,

@@ -65,20 +65,12 @@ class QueryExecutor {
   QueryExecutor(const QueryExecutor&) = delete;
   QueryExecutor& operator=(const QueryExecutor&) = delete;
 
-  /// Where answer tuples go (the QueryProcessor routes them to the proxy).
-  using ResultSink = std::function<void(uint64_t query_id,
-                                        const NetAddress& proxy, const Tuple&)>;
-  void set_result_sink(ResultSink sink) { result_sink_ = std::move(sink); }
-
-  /// Batch flavor of the result sink. When installed, operators that emit
-  /// whole batches hand them over intact (the QueryProcessor frames one
-  /// answer-batch message per destination); without it, batch emissions
-  /// degrade to per-row ResultSink calls.
-  using BatchResultSink = std::function<void(
+  /// Where answer batches go: the QueryProcessor forwards each one to the
+  /// query's current proxy in one frame (a 1-row batch in the single-answer
+  /// frame). Without a sink, answers are dropped.
+  using AnswerSink = std::function<void(
       uint64_t query_id, const NetAddress& proxy, const TupleBatch&)>;
-  void set_batch_result_sink(BatchResultSink sink) {
-    batch_result_sink_ = std::move(sink);
-  }
+  void set_answer_sink(AnswerSink sink) { answer_sink_ = std::move(sink); }
 
   /// Observer for tuples operators publish into the DHT (the Put exchange);
   /// copied into every graph's ExecContext. The statistics subsystem hangs
@@ -232,12 +224,11 @@ class QueryExecutor {
   /// Shared with the query's opgraph instances; survives plan swaps.
   std::shared_ptr<QueryMeter> Meter(uint64_t query_id) const;
 
-  /// Charge one forwarded answer to `query_id`'s answer pseudo-op slot.
-  /// Called by the QueryProcessor, which alone knows whether the answer
-  /// crossed the wire (on_wire) or was delivered to a local proxy.
-  /// Charge one answer tuple to the query's answer pseudo-op and return the
-  /// live meter (null with metering off / unknown query) — the answer path
-  /// is per-tuple hot, so charging and piggyback lookup share one find.
+  /// Charge one answer row to `query_id`'s answer pseudo-op slot and return
+  /// the live meter (null with metering off / unknown query); charging and
+  /// the piggyback lookup share one find. Called by the QueryProcessor,
+  /// which alone knows whether the answer crossed the wire (on_wire) or was
+  /// delivered to a local proxy.
   QueryMeter* MeterAnswer(uint64_t query_id, uint64_t bytes, bool on_wire);
 
   bool HasQuery(uint64_t query_id) const { return queries_.count(query_id) > 0; }
@@ -251,13 +242,9 @@ class QueryExecutor {
   /// Introspection for tests and benches.
   Operator* FindOp(uint64_t query_id, uint32_t graph_id, uint32_t op_id);
 
-  /// Push a tuple into an injectable Source op (range-index dissemination
-  /// feeds PHT results into a local graph this way).
-  Status InjectTuple(uint64_t query_id, uint32_t graph_id, uint32_t op_id,
-                     const Tuple& t);
-
-  /// Push a whole batch into an injectable Source op (tests and the
-  /// batch-vs-scalar equivalence suite).
+  /// Push a batch out of an injectable Source op into its graph (range-index
+  /// dissemination feeds PHT results into a local graph this way, one row
+  /// per batch; tests and benches feed their streams the same way).
   Status InjectBatch(uint64_t query_id, uint32_t graph_id, uint32_t op_id,
                      const TupleBatch& batch);
 
@@ -332,8 +319,7 @@ class QueryExecutor {
   Dht* dht_;
   MetricsRegistry* metrics_ = nullptr;
   bool metering_ = true;
-  ResultSink result_sink_;
-  BatchResultSink batch_result_sink_;
+  AnswerSink answer_sink_;
   PublishObserver publish_observer_;
   AdoptHandler adopt_handler_;
   ProxyProber proxy_prober_;

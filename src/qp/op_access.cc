@@ -24,63 +24,78 @@ bool AdmitOnce(U64Set* seen, ObjectNameView name) {
   return seen->Insert(HashCombine(Fnv1a64(name.key), Fnv1a64(name.suffix)));
 }
 
-/// scan[ns=<table>, watch=0|1]: deliver every local tuple of a namespace.
-/// The access method decodes stored objects into tuples; malformed objects
-/// are dropped (best effort).
-class ScanOp : public Operator {
+/// Both access methods over a DHT namespace. Delivery is batch-at-a-time:
+/// the catch-up scan and every newData delivery (a multi-object put frame, or
+/// a single store as a 1-row batch) are assembled into same-schema batches.
+/// Malformed objects are dropped (best effort).
+///
+///   scan[ns=<table>, watch=0|1]   every local tuple of a namespace, then
+///                                 (watch=1) the ones stored later.
+///   newdata[ns=<name>, catchup=0|1]  the subscription: the consuming half of
+///                                 a DHT rendezvous between opgraphs; with
+///                                 catchup=1 it also scans objects that
+///                                 arrived before the graph reached this
+///                                 node (§3.3.4: operators must be able to
+///                                 "catch up" because there is no global
+///                                 synchronization).
+class NamespaceReaderOp : public Operator {
  public:
   using Operator::Operator;
 
   Status Init(ExecContext* cx) override {
     PIER_RETURN_IF_ERROR(Operator::Init(cx));
+    const bool scan = spec_.kind == OpKind::kScan;
     ns_ = spec_.GetString("ns");
-    if (ns_.empty()) return Status::InvalidArgument("scan needs ns");
-    watch_ = spec_.GetInt("watch", 1) != 0;
+    if (ns_.empty()) {
+      return Status::InvalidArgument(scan ? "scan needs ns"
+                                          : "newdata needs ns");
+    }
+    watch_ = !scan || spec_.GetInt("watch", 1) != 0;
+    catchup_ = scan || spec_.GetInt("catchup", 1) != 0;
     floor_ = cx->catchup_floor_us;
     return Status::Ok();
   }
 
   void OnOpen() override {
-    // Subscribe before scanning so nothing falls between the two. The batch
-    // subscription delivers a multi-object put frame as one grouped call;
-    // single stores arrive as one-element batches and take the per-tuple
-    // path (the singleton fallback).
+    // Subscribe before scanning so nothing falls between the two.
     if (watch_) {
       sub_ = cx_->dht->OnNewDataBatch(
           ns_, [this](const std::vector<Dht::NewDataEvent>& events) {
-            DeliverBatch(events);
+            BatchAssembler batches;
+            for (const Dht::NewDataEvent& ev : events) {
+              Admit(ev.name, ev.value, &batches);
+            }
+            PushAll(&batches);
           });
     }
+    if (!catchup_) return;
     timer_ = cx_->vri->ScheduleEvent(0, [this]() {
       timer_ = 0;
       // The catch-up scan honors the swap-time high-water mark: objects the
       // predecessor generation already counted are skipped, not re-emitted.
       // The newData subscription above is untouched — it only ever sees
-      // stores later than this instant. Survivors are assembled into
-      // batches and pushed downstream batch-at-a-time.
+      // stores later than this instant. Rendezvous namespaces outlive plan
+      // generations (they are keyed by query id), so for a newdata consumer
+      // this skips the partials its predecessor already folded. (For JOIN
+      // rendezvous this trades lost old-side matches for no re-emitted ones;
+      // the replanner only swaps when the strategy changes, which abandons
+      // the old namespace anyway, so the trade only bites hand-driven
+      // same-shape swaps.)
       BatchAssembler batches;
-      size_t rows = 0;
-      cx_->dht->LocalScan(
-          ns_, [this, &batches, &rows](ObjectNameView name,
-                                       std::string_view value,
-                                       TimeUs stored_at) {
-            if (floor_ > 0 && stored_at < floor_) {
-              suppressed_++;
-              return;
-            }
-            if (!AdmitOnce(&seen_, name)) return;
-            if (!batches.AddEncoded(value).ok()) {
-              malformed_++;
-              return;
-            }
-            rows++;
-          });
-      stats_.consumed += rows;
-      for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
+      cx_->dht->LocalScan(ns_, [this, &batches](ObjectNameView name,
+                                                std::string_view value,
+                                                TimeUs stored_at) {
+        if (floor_ > 0 && stored_at < floor_) {
+          suppressed_++;
+          return;
+        }
+        Admit(name, value, &batches);
+      });
+      PushAll(&batches);
     });
   }
 
-  void Consume(int, uint32_t, Tuple) override {}
+  void ProcessBatch(int, uint32_t, const TupleBatch&) override {}  // no inputs
 
   void Close() override {
     if (sub_) cx_->dht->CancelNewData(sub_);
@@ -95,138 +110,18 @@ class ScanOp : public Operator {
   }
 
  private:
-  void Deliver(ObjectNameView name, std::string_view value) {
-    if (!AdmitOnce(&seen_, name)) return;
-    Result<Tuple> t = Tuple::Decode(value);
-    if (!t.ok()) {
-      malformed_++;
-      return;
-    }
-    stats_.consumed++;
-    EmitTuple(0, *t);
+  void Admit(ObjectNameView name, std::string_view value,
+             BatchAssembler* batches) {
+    // A malformed object is skipped (best effort).
+    if (AdmitOnce(&seen_, name)) (void)batches->AddEncoded(value);
   }
 
-  void DeliverBatch(const std::vector<Dht::NewDataEvent>& events) {
-    if (events.size() == 1) {  // singleton fallback: the per-tuple path
-      Deliver(events[0].name, events[0].value);
-      return;
-    }
-    BatchAssembler batches;
-    size_t rows = 0;
-    for (const Dht::NewDataEvent& ev : events) {
-      if (!AdmitOnce(&seen_, ev.name)) continue;
-      if (!batches.AddEncoded(ev.value).ok()) {
-        malformed_++;
-        continue;
-      }
-      rows++;
-    }
-    stats_.consumed += rows;
-    for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
+  void PushAll(BatchAssembler* batches) {
+    for (const TupleBatch& b : batches->TakeBatches()) PushBatch(0, b);
   }
 
   std::string ns_;
   bool watch_ = true;
-  uint64_t sub_ = 0;
-  uint64_t timer_ = 0;
-  uint64_t malformed_ = 0;
-  uint64_t suppressed_ = 0;
-  TimeUs floor_ = 0;
-  U64Set seen_;
-};
-
-/// newdata[ns=<name>]: subscription only — the consuming half of a DHT
-/// rendezvous between opgraphs. With catchup=1 it also scans objects that
-/// arrived before the graph reached this node (§3.3.4: operators must be
-/// able to "catch up" because there is no global synchronization).
-class NewDataOp : public Operator {
- public:
-  using Operator::Operator;
-
-  Status Init(ExecContext* cx) override {
-    PIER_RETURN_IF_ERROR(Operator::Init(cx));
-    ns_ = spec_.GetString("ns");
-    if (ns_.empty()) return Status::InvalidArgument("newdata needs ns");
-    catchup_ = spec_.GetInt("catchup", 1) != 0;
-    floor_ = cx->catchup_floor_us;
-    return Status::Ok();
-  }
-
-  void OnOpen() override {
-    sub_ = cx_->dht->OnNewDataBatch(
-        ns_, [this](const std::vector<Dht::NewDataEvent>& events) {
-          DeliverBatch(events);
-        });
-    if (catchup_) {
-      timer_ = cx_->vri->ScheduleEvent(0, [this]() {
-        timer_ = 0;
-        // Rendezvous namespaces outlive plan generations (they are keyed by
-        // query id), so a swapped-in consumer's catch-up must skip the
-        // partials its predecessor already folded — same high-water mark as
-        // the base-table scan. (For JOIN rendezvous this trades lost
-        // old-side matches for no re-emitted ones; the replanner only swaps
-        // when the strategy changes, which abandons the old namespace
-        // anyway, so the trade only bites hand-driven same-shape swaps.)
-        BatchAssembler batches;
-        size_t rows = 0;
-        cx_->dht->LocalScan(
-            ns_, [this, &batches, &rows](ObjectNameView name,
-                                         std::string_view value,
-                                         TimeUs stored_at) {
-              if (floor_ > 0 && stored_at < floor_) {
-                suppressed_++;
-                return;
-              }
-              if (!AdmitOnce(&seen_, name)) return;
-              if (!batches.AddEncoded(value).ok()) return;
-              rows++;
-            });
-        stats_.consumed += rows;
-        for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
-      });
-    }
-  }
-
-  void Consume(int, uint32_t, Tuple) override {}
-
-  void Close() override {
-    if (sub_) cx_->dht->CancelNewData(sub_);
-    sub_ = 0;
-    if (timer_) cx_->vri->CancelEvent(timer_);
-    timer_ = 0;
-  }
-
-  int64_t Metric(const std::string& name) const override {
-    if (name == "suppressed") return static_cast<int64_t>(suppressed_);
-    return -1;
-  }
-
- private:
-  void Deliver(ObjectNameView name, std::string_view value) {
-    if (!AdmitOnce(&seen_, name)) return;
-    Result<Tuple> t = Tuple::Decode(value);
-    if (!t.ok()) return;
-    stats_.consumed++;
-    EmitTuple(0, *t);
-  }
-
-  void DeliverBatch(const std::vector<Dht::NewDataEvent>& events) {
-    if (events.size() == 1) {  // singleton fallback: the per-tuple path
-      Deliver(events[0].name, events[0].value);
-      return;
-    }
-    BatchAssembler batches;
-    size_t rows = 0;
-    for (const Dht::NewDataEvent& ev : events) {
-      if (!AdmitOnce(&seen_, ev.name)) continue;
-      if (!batches.AddEncoded(ev.value).ok()) continue;
-      rows++;
-    }
-    stats_.consumed += rows;
-    for (const TupleBatch& b : batches.TakeBatches()) PushBatch(0, b);
-  }
-
-  std::string ns_;
   bool catchup_ = true;
   uint64_t sub_ = 0;
   uint64_t timer_ = 0;
@@ -254,53 +149,36 @@ class PutOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    std::string key = t.PartitionKey(key_attrs_);
-    std::string suffix = cx_->NextSuffix();
-    std::string wire = t.Encode();
-    size_t bytes = wire.size();
-    if (use_send_) {
-      cx_->dht->Send(ns_, key, suffix, std::move(wire), lifetime_);
-    } else {
-      cx_->dht->Put(ns_, key, suffix, std::move(wire), lifetime_, nullptr,
-                    cx_->replicas);
-    }
-    MeterNet(1, bytes);
-    if (cx_->observe_publish) cx_->observe_publish(ns_, key_attrs_, t, bytes);
-    stats_.emitted++;
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (use_send_) {
-      // Send routes hop-by-hop one object at a time; take the fallback.
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
-    // One PutBatch for the whole batch: rows are keyed/encoded straight off
-    // the batch cells (no per-tuple Tuple materialization) and the DHT
-    // groups them into one wire frame per destination.
+    // Rows are keyed and encoded straight off the batch cells. In put mode
+    // the whole batch becomes one PutBatch, which the DHT groups into one
+    // wire frame per destination; send mode routes each object hop by hop.
     std::vector<DhtPutItem> items;
-    items.reserve(n);
+    if (!use_send_) items.reserve(n);
     for (size_t r = 0; r < n; ++r) {
+      std::string key = batch.RowPartitionKey(r, key_attrs_);
+      std::string suffix = cx_->NextSuffix();
+      std::string value = batch.EncodeRow(r);
+      const size_t bytes = value.size();
+      MeterNet(1, bytes);
+      if (cx_->observe_publish) {
+        cx_->observe_publish(ns_, key_attrs_, batch.RowTuple(r), bytes);
+      }
+      if (use_send_) {
+        cx_->dht->Send(ns_, key, suffix, std::move(value), lifetime_);
+        continue;
+      }
       DhtPutItem item;
       item.ns = ns_;
-      item.key = batch.RowPartitionKey(r, key_attrs_);
-      item.suffix = cx_->NextSuffix();
-      item.value = batch.EncodeRow(r);
+      item.key = std::move(key);
+      item.suffix = std::move(suffix);
+      item.value = std::move(value);
       item.lifetime = lifetime_;
       item.replicas = cx_->replicas;
-      MeterNet(1, item.value.size());
-      if (cx_->observe_publish) {
-        cx_->observe_publish(ns_, key_attrs_, batch.RowTuple(r),
-                             item.value.size());
-      }
       items.push_back(std::move(item));
     }
-    cx_->dht->PutBatch(std::move(items));
-    stats_.emitted += n;
+    if (!use_send_) cx_->dht->PutBatch(std::move(items));
   }
 
  private:
@@ -315,23 +193,8 @@ class ResultOp : public Operator {
  public:
   using Operator::Operator;
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    if (cx_->emit_result) {
-      cx_->emit_result(t);
-      stats_.emitted++;
-    }
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (!cx_->emit_result_batch) {
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
-    const size_t n = batch.num_rows();
-    stats_.consumed += n;
-    cx_->emit_result_batch(batch);
-    stats_.emitted += n;
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
+    if (cx_->emit_result) cx_->emit_result(batch);
   }
 };
 
@@ -339,8 +202,8 @@ class ResultOp : public Operator {
 
 std::unique_ptr<Operator> MakeAccessOperator(const OpSpec& spec) {
   switch (spec.kind) {
-    case OpKind::kScan: return std::make_unique<ScanOp>(spec);
-    case OpKind::kNewData: return std::make_unique<NewDataOp>(spec);
+    case OpKind::kScan:
+    case OpKind::kNewData: return std::make_unique<NamespaceReaderOp>(spec);
     case OpKind::kPut: return std::make_unique<PutOp>(spec);
     case OpKind::kResult: return std::make_unique<ResultOp>(spec);
     default: return nullptr;

@@ -49,73 +49,8 @@ class GroupByOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    std::string gk;
-    for (const std::string& k : keys_) {
-      const Value* v = t.Get(k);
-      if (v == nullptr) return;  // best-effort discard
-      gk += v->CanonicalString();
-      gk.push_back('|');
-    }
-    Group& g = groups_[gk];
-    if (g.states.empty()) {
-      g.key_tuple = t.Project(keys_);
-      g.states.resize(aggs_.size());
-    }
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      if (mode_ == Mode::kFinal) {
-        AggState incoming;
-        if (!incoming.FromPartialColumns(t, aggs_[i].alias)) continue;
-        g.states[i].Merge(incoming);
-      } else {
-        g.states[i].Update(aggs_[i], t);
-      }
-    }
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (mode_ == Mode::kFinal) {
-      // Merging partial-state columns is per-tuple work; take the fallback.
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
-    const size_t n = batch.num_rows();
-    stats_.consumed += n;
-    const BatchSchema& in = *batch.schema();
-    // Resolve key and aggregate columns once per batch. A key column the
-    // schema lacks discards every row (scalar path discards per tuple).
-    std::vector<int> key_idx(keys_.size());
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      key_idx[i] = in.Index(keys_[i]);
-      if (key_idx[i] < 0) return;  // best-effort discard of the whole batch
-    }
-    std::vector<int> agg_idx(aggs_.size());
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      agg_idx[i] = aggs_[i].col.empty() ? -1 : in.Index(aggs_[i].col);
-    }
-    for (size_t r = 0; r < n; ++r) {
-      // RowPartitionKey over the (all-present) keys builds exactly the
-      // canonical-string group key the scalar path builds.
-      Group& g = groups_[batch.RowPartitionKey(r, keys_)];
-      if (g.states.empty()) {
-        Tuple kt(in.table);
-        for (size_t i = 0; i < keys_.size(); ++i) {
-          kt.Append(keys_[i],
-                    batch.ValueAt(r, static_cast<size_t>(key_idx[i])));
-        }
-        g.key_tuple = std::move(kt);
-        g.states.resize(aggs_.size());
-      }
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        bool present = agg_idx[i] >= 0;
-        g.states[i].UpdateValue(
-            aggs_[i],
-            present ? batch.ValueAt(r, static_cast<size_t>(agg_idx[i]))
-                    : Value::Null(),
-            present);
-      }
-    }
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
+    FoldBatch(batch, keys_, aggs_, mode_ == Mode::kFinal, &groups_);
   }
 
   void Flush() override {
@@ -125,7 +60,7 @@ class GroupByOp : public Operator {
     for (auto& [gk, g] : groups_) {
       (void)gk;
       Tuple out(out_table_);
-      for (const Column& c : g.key_tuple.columns()) out.Append(c.name, c.value);
+      for (const Column& c : g.key.columns()) out.Append(c.name, c.value);
       for (size_t i = 0; i < aggs_.size(); ++i) {
         if (mode_ == Mode::kPartial) {
           g.states[i].ToPartialColumns(aggs_[i].alias, &out);
@@ -144,21 +79,16 @@ class GroupByOp : public Operator {
  private:
   enum class Mode { kLocal, kPartial, kFinal };
 
-  struct Group {
-    Tuple key_tuple;
-    std::vector<AggState> states;
-  };
-
   std::vector<std::string> keys_;
   std::vector<AggSpec> aggs_;
   Mode mode_ = Mode::kLocal;
   bool tumbling_ = true;
   std::string out_table_;
-  // Ordered map: deterministic emission order across runs.
-  std::map<std::string, Group> groups_;
+  AggGroups groups_;
 };
 
-/// topk[k=10, col=cnt, desc=1]: buffer, sort on Flush, emit the top k.
+/// topk[k=10, col=cnt, desc=1]: buffer, sort on Flush, emit the top k, one
+/// row per push.
 class TopKOp : public Operator {
  public:
   using Operator::Operator;
@@ -173,18 +103,18 @@ class TopKOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    const Value* v = t.Get(col_);
-    if (v == nullptr) return;
-    if (!dedup_cols_.empty()) {
-      // Upstream re-emissions (refined aggregates) replace by group key;
-      // the latest value for a group wins.
-      std::string key = t.PartitionKey(dedup_cols_);
-      by_key_[key] = std::move(t);
-      return;
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
+    const size_t n = batch.num_rows();
+    if (batch.schema()->Index(col_) < 0) return;  // best-effort discard
+    for (size_t r = 0; r < n; ++r) {
+      if (!dedup_cols_.empty()) {
+        // Upstream re-emissions (refined aggregates) replace by group key;
+        // the latest value for a group wins.
+        by_key_[batch.RowPartitionKey(r, dedup_cols_)] = batch.RowTuple(r);
+        continue;
+      }
+      buf_.push_back(batch.RowTuple(r));
     }
-    buf_.push_back(std::move(t));
   }
 
   void Flush() override {
@@ -221,7 +151,7 @@ class TopKOp : public Operator {
     emitted_keys_.clear();
     emitted_rows_.clear();
     for (size_t i = 0; i < n; ++i) {
-      EmitTuple(0, rows[i]);
+      PushBatch(0, TupleBatch::FromTuple(rows[i]));
       if (!dedup_cols_.empty()) {
         emitted_keys_.push_back(rows[i].PartitionKey(dedup_cols_));
         emitted_rows_.push_back(rows[i]);

@@ -39,16 +39,12 @@ namespace {
 /// One partial-aggregate message: a set of groups, each with the group-key
 /// tuple and one AggState per aggregate.
 struct PartialBatch {
-  struct Group {
-    Tuple key;
-    std::vector<AggState> states;
-  };
-  std::vector<Group> groups;
+  std::vector<AggGroup> groups;
 
   std::string Encode() const {
     WireWriter w;
     w.PutVarint(groups.size());
-    for (const Group& g : groups) {
+    for (const AggGroup& g : groups) {
       g.key.EncodeTo(&w);
       w.PutVarint(g.states.size());
       for (const AggState& s : g.states) s.EncodeTo(&w);
@@ -63,7 +59,7 @@ struct PartialBatch {
     PIER_RETURN_IF_ERROR(r.GetVarint(&n));
     if (n > 1 << 20) return Status::Corruption("absurd group count");
     for (uint64_t i = 0; i < n; ++i) {
-      Group g;
+      AggGroup g;
       PIER_ASSIGN_OR_RETURN(g.key, Tuple::DecodeFrom(&r));
       uint64_t ns;
       PIER_RETURN_IF_ERROR(r.GetVarint(&ns));
@@ -137,58 +133,8 @@ class HierAggOp : public Operator {
     });
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    std::string gk;
-    for (const std::string& k : keys_) {
-      const Value* v = t.Get(k);
-      if (v == nullptr) return;
-      gk += v->CanonicalString();
-      gk.push_back('|');
-    }
-    LocalGroup& g = local_[gk];
-    if (g.states.empty()) {
-      g.key = t.Project(keys_);
-      g.states.resize(aggs_.size());
-    }
-    for (size_t i = 0; i < aggs_.size(); ++i) g.states[i].Update(aggs_[i], t);
-  }
-
   void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
-    const size_t n = batch.num_rows();
-    stats_.consumed += n;
-    const BatchSchema& in = *batch.schema();
-    // Same vectorized local fold as GroupByOp: resolve columns once, then
-    // per-row canonical group keys and UpdateValue folds.
-    std::vector<int> key_idx(keys_.size());
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      key_idx[i] = in.Index(keys_[i]);
-      if (key_idx[i] < 0) return;  // best-effort discard of the whole batch
-    }
-    std::vector<int> agg_idx(aggs_.size());
-    for (size_t i = 0; i < aggs_.size(); ++i) {
-      agg_idx[i] = aggs_[i].col.empty() ? -1 : in.Index(aggs_[i].col);
-    }
-    for (size_t r = 0; r < n; ++r) {
-      LocalGroup& g = local_[batch.RowPartitionKey(r, keys_)];
-      if (g.states.empty()) {
-        Tuple kt(in.table);
-        for (size_t i = 0; i < keys_.size(); ++i) {
-          kt.Append(keys_[i],
-                    batch.ValueAt(r, static_cast<size_t>(key_idx[i])));
-        }
-        g.key = std::move(kt);
-        g.states.resize(aggs_.size());
-      }
-      for (size_t i = 0; i < aggs_.size(); ++i) {
-        bool present = agg_idx[i] >= 0;
-        g.states[i].UpdateValue(
-            aggs_[i],
-            present ? batch.ValueAt(r, static_cast<size_t>(agg_idx[i]))
-                    : Value::Null(),
-            present);
-      }
-    }
+    FoldBatch(batch, keys_, aggs_, /*merge_partials=*/false, &local_);
   }
 
   /// Send the local window's partials one step toward the root.
@@ -217,21 +163,14 @@ class HierAggOp : public Operator {
   }
 
  private:
-  struct LocalGroup {
-    Tuple key;
-    std::vector<AggState> states;
-  };
-  /// gk -> merged pending state (intermediate-node window, and root window).
-  using Window = std::map<std::string, LocalGroup>;
-
-  void Absorb(Window* w, const PartialBatch& batch) {
-    for (const PartialBatch::Group& g : batch.groups) {
+  void Absorb(AggGroups* w, const PartialBatch& batch) {
+    for (const AggGroup& g : batch.groups) {
       std::string gk;
       for (const Column& c : g.key.columns()) {
         gk += c.value.CanonicalString();
         gk.push_back('|');
       }
-      LocalGroup& dst = (*w)[gk];
+      AggGroup& dst = (*w)[gk];
       if (dst.states.empty()) {
         dst.key = g.key;
         dst.states.resize(aggs_.size());
@@ -294,7 +233,7 @@ class HierAggOp : public Operator {
       for (const Column& c : g.key.columns()) out.Append(c.name, c.value);
       for (size_t i = 0; i < aggs_.size(); ++i)
         out.Append(aggs_[i].alias, g.states[i].Finalize(aggs_[i].func));
-      EmitTuple(0, out);
+      PushBatch(0, TupleBatch::FromTuple(out));  // one row per push
     }
     // root_ is kept (cumulative): late partials refine rather than reset.
     // Blocking operators downstream (TopK at the root) flushed before our
@@ -313,9 +252,9 @@ class HierAggOp : public Operator {
   std::vector<AggSpec> aggs_;
   TimeUs hold_ = 500 * kMillisecond;
   std::string out_table_, ns_, root_key_;
-  Window local_;    // this node's own input
-  Window pending_;  // intercepted children partials awaiting forwarding
-  Window root_;     // root-side accumulation
+  AggGroups local_;    // this node's own input
+  AggGroups pending_;  // intercepted children partials awaiting forwarding
+  AggGroups root_;     // root-side accumulation
   std::unordered_set<uint64_t> root_seen_;
   uint64_t newdata_sub_ = 0;
   uint64_t catchup_timer_ = 0;
@@ -335,11 +274,17 @@ struct JoinRecord {
   std::vector<uint32_t> path;  // annotating node hosts
   Tuple tuple;
 
+  /// Everything before the tuple: the side and the annotation path.
+  static void EncodeHeader(uint8_t side, const std::vector<uint32_t>& path,
+                           WireWriter* w) {
+    w->PutU8(side);
+    w->PutVarint(path.size());
+    for (uint32_t h : path) w->PutU32(h);
+  }
+
   std::string Encode() const {
     WireWriter w;
-    w.PutU8(side);
-    w.PutVarint(path.size());
-    for (uint32_t h : path) w.PutU32(h);
+    EncodeHeader(side, path, &w);
     tuple.EncodeTo(&w);
     return std::move(w).data();
   }
@@ -434,26 +379,32 @@ class HierJoinOp : public Operator {
     });
   }
 
-  void Consume(int port, uint32_t, Tuple t) override {
-    stats_.consumed++;
+  void ProcessBatch(int port, uint32_t, const TupleBatch& batch) override {
+    const size_t n = batch.num_rows();
+    const BatchSchema& in = *batch.schema();
     if (!l_table_.empty()) {
-      if (t.table() == l_table_) {
+      // Mixed-stream mode: the whole batch shares one self-described table.
+      if (in.table == l_table_) {
         port = 0;
-      } else if (t.table() == r_table_) {
+      } else if (in.table == r_table_) {
         port = 1;
       } else {
         return;
       }
     }
     if (port != 0 && port != 1) return;
-    const std::string& key_col = port == 0 ? l_key_ : r_key_;
-    const Value* key = t.Get(key_col);
-    if (key == nullptr) return;
-    JoinRecord rec;
-    rec.side = static_cast<uint8_t>(port);
-    rec.tuple = std::move(t);
-    cx_->dht->Send(ns_, key->CanonicalString(), cx_->NextSuffix(),
-                   rec.Encode(), cx_->query_lifetime);
+    const int key_idx = in.Index(port == 0 ? l_key_ : r_key_);
+    if (key_idx < 0) return;  // best-effort discard
+    for (size_t r = 0; r < n; ++r) {
+      // A fresh record has an empty path: encode it straight off the row.
+      WireWriter w;
+      JoinRecord::EncodeHeader(static_cast<uint8_t>(port), {}, &w);
+      batch.EncodeRowTo(r, &w);
+      cx_->dht->Send(
+          ns_,
+          batch.ValueAt(r, static_cast<size_t>(key_idx)).CanonicalString(),
+          cx_->NextSuffix(), std::move(w).data(), cx_->query_lifetime);
+    }
   }
 
   void Close() override {
@@ -505,8 +456,7 @@ class HierJoinOp : public Operator {
       } else {
         early_results_++;
       }
-      if (cx_->emit_result) cx_->emit_result(joined);
-      stats_.emitted++;
+      if (cx_->emit_result) cx_->emit_result(TupleBatch::FromTuple(joined));
     }
     // Cache the record annotated with this node so later arrivals pair
     // against it (and so the owner can suppress re-production).

@@ -50,49 +50,8 @@ class SymHashJoinOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int port, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    if (!l_table_.empty()) {
-      // Mixed-stream mode: route by the tuple's self-described table name.
-      if (t.table() == l_table_) {
-        port = 0;
-      } else if (t.table() == r_table_) {
-        port = 1;
-      } else {
-        return;  // neither side: discard (best effort)
-      }
-    }
-    if (port != 0 && port != 1) return;
-    const std::string& key_col = port == 0 ? l_key_ : r_key_;
-    const Value* key = t.Get(key_col);
-    if (key == nullptr) return;  // best-effort discard
-    std::string k = key->CanonicalString();
-
-    // Store in this side's soft-state partition.
-    std::string suffix = cx_->NextSuffix();
-    cx_->dht->objects()->Put(ObjectNameView{ns_[port], k, suffix}, t.Encode(),
-                             cx_->query_lifetime);
-
-    // Probe the opposite side.
-    int other = 1 - port;
-    for (const ObjectManager::Object* obj :
-         cx_->dht->objects()->Get(ns_[other], k)) {
-      Result<Tuple> o = Tuple::Decode(obj->value());
-      if (!o.ok()) continue;
-      const Tuple& l = port == 0 ? t : *o;
-      const Tuple& r = port == 0 ? *o : t;
-      Tuple joined = JoinTuples(l, r, out_table_, qualify_);
-      if (residual_) {
-        Result<bool> keep = residual_->EvalPredicate(joined);
-        if (!keep.ok() || !*keep) continue;
-      }
-      EmitTuple(tag, joined);
-    }
-  }
-
   void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     const BatchSchema& in = *batch.schema();
     if (!l_table_.empty()) {
       // Mixed-stream mode: the whole batch shares one self-described table,
@@ -131,7 +90,7 @@ class SymHashJoinOp : public Operator {
           Result<bool> keep = residual_->EvalPredicate(joined);
           if (!keep.ok() || !*keep) continue;
         }
-        EmitTuple(tag, joined);
+        PushBatch(tag, TupleBatch::FromTuple(joined));
       }
     }
   }
@@ -175,26 +134,8 @@ class FetchMatchesOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    Result<Value> key = key_expr_->Eval(t);
-    if (!key.ok()) return;
-    std::string k;
-    if (raw_key_) {
-      // The key column already holds a full partition-key string.
-      Result<std::string_view> s = key->AsString();
-      if (!s.ok()) return;
-      k = std::string(*s);
-    } else {
-      // Must match Tuple::PartitionKey's single-attribute format.
-      k = key->CanonicalString() + "|";
-    }
-    Lookup(tag, std::move(t), std::move(k));
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     for (size_t r = 0; r < n; ++r) {
       // Evaluate the lookup key against the batch row; the outer tuple is
       // materialized only once the key is known good (the common discard —
@@ -237,7 +178,7 @@ class FetchMatchesOp : public Operator {
               Result<bool> keep = residual_->EvalPredicate(joined);
               if (!keep.ok() || !*keep) continue;
             }
-            EmitTuple(tag, joined);
+            PushBatch(tag, TupleBatch::FromTuple(joined));
           }
         });
   }
@@ -316,12 +257,15 @@ class BloomCreateOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t, Tuple t) override {
-    stats_.consumed++;
-    const Value* v = t.Get(col_);
-    if (v == nullptr) return;
-    filter_->Add(v->CanonicalString());
-    added_++;
+  void ProcessBatch(int, uint32_t, const TupleBatch& batch) override {
+    const size_t n = batch.num_rows();
+    const int col = batch.schema()->Index(col_);
+    if (col < 0) return;  // best-effort discard
+    for (size_t r = 0; r < n; ++r) {
+      filter_->Add(
+          batch.ValueAt(r, static_cast<size_t>(col)).CanonicalString());
+    }
+    added_ += n;
   }
 
   void Flush() override {
@@ -373,10 +317,11 @@ class BloomCreateOp : public Operator {
   std::shared_ptr<char> alive_;
 };
 
-/// bloomprobe[col=?, ns=?, wait_ms=?]: buffer tuples until the published
+/// bloomprobe[col=?, ns=?, wait_ms=?]: buffer rows until the published
 /// filters are fetched (one get against the rendezvous key), then let only
-/// probable matches through. Fails open: if no filter shows up by the
-/// deadline, everything passes (a Bloom join must never lose results).
+/// probable matches through, one row per push. Fails open: if no filter
+/// shows up by the deadline, everything passes (a Bloom join must never lose
+/// results).
 class BloomProbeOp : public Operator {
  public:
   using Operator::Operator;
@@ -401,13 +346,13 @@ class BloomProbeOp : public Operator {
     });
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
+  void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     if (!ready_) {
-      buf_.emplace_back(tag, std::move(t));
+      // Held until the filter arrives: the batch must own its payloads.
+      buf_.emplace_back(tag, batch.EnsureOwned());
       return;
     }
-    MaybeEmit(tag, t);
+    EmitMatches(tag, batch);
   }
 
   void Close() override {
@@ -438,26 +383,30 @@ class BloomProbeOp : public Operator {
                     }
                     (void)s;
                     ready_ = true;
-                    for (auto& [tag, t] : buf_) MaybeEmit(tag, t);
+                    for (const auto& [tag, b] : buf_) EmitMatches(tag, b);
                     buf_.clear();
                   });
   }
 
-  void MaybeEmit(uint32_t tag, const Tuple& t) {
-    const Value* v = t.Get(col_);
-    if (v == nullptr) return;
-    if (filter_ && !filter_->MayContain(v->CanonicalString())) {
-      filtered_++;
-      return;
+  void EmitMatches(uint32_t tag, const TupleBatch& batch) {
+    const int col = batch.schema()->Index(col_);
+    if (col < 0) return;  // best-effort discard
+    for (size_t r = 0; r < batch.num_rows(); ++r) {
+      if (filter_ &&
+          !filter_->MayContain(
+              batch.ValueAt(r, static_cast<size_t>(col)).CanonicalString())) {
+        filtered_++;
+        continue;
+      }
+      PushBatch(tag, batch.Slice(r, 1));
     }
-    EmitTuple(tag, t);
   }
 
   std::string col_, ns_;
   TimeUs wait_ = 2 * kSecond;
   bool ready_ = false;
   std::unique_ptr<BloomFilter> filter_;
-  std::vector<std::pair<uint32_t, Tuple>> buf_;
+  std::vector<std::pair<uint32_t, TupleBatch>> buf_;
   uint64_t filtered_ = 0;
   uint64_t timer_ = 0;
   std::shared_ptr<char> alive_;

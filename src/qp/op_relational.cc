@@ -1,7 +1,7 @@
-// Tuple-at-a-time relational operators: source, selection, projection, tee,
-// union, duplicate elimination, queue, limit, control gate, materializer.
+// Relational operators: source, selection, projection, tee, union, duplicate
+// elimination, queue, limit, control gate, materializer.
 //
-// All follow the best-effort policy (§3.3.4): a tuple that fails to evaluate
+// All follow the best-effort policy (§3.3.4): a row that fails to evaluate
 // (missing column, type mismatch) is silently discarded.
 
 #include <algorithm>
@@ -15,20 +15,23 @@
 namespace pier {
 namespace {
 
-/// Inline constant tuples, one per "tuple<i>" param (encoded). Used by tests
-/// and examples as a trivial access method.
+/// Inline constant tuples, one per "tuple<i>" param (encoded), each pushed
+/// as a 1-row batch. Used by tests and examples as a trivial access method;
+/// with inject=1 it is the placeholder the executor feeds external rows
+/// through (QueryExecutor::InjectBatch).
 class SourceOp : public Operator {
  public:
   using Operator::Operator;
 
   Status Init(ExecContext* cx) override {
     PIER_RETURN_IF_ERROR(Operator::Init(cx));
+    BatchAssembler rows(/*max_rows=*/1);
     for (int i = 0;; ++i) {
       std::string key = "tuple" + std::to_string(i);
       if (!spec_.Has(key)) break;
-      PIER_ASSIGN_OR_RETURN(Tuple t, Tuple::Decode(spec_.GetString(key)));
-      tuples_.push_back(std::move(t));
+      PIER_RETURN_IF_ERROR(rows.AddEncoded(spec_.GetString(key)));
     }
+    rows_ = rows.TakeBatches();
     return Status::Ok();
   }
 
@@ -36,14 +39,11 @@ class SourceOp : public Operator {
     // Produce asynchronously: real access methods never emit inside Open.
     timer_ = cx_->vri->ScheduleEvent(0, [this]() {
       timer_ = 0;
-      for (const Tuple& t : tuples_) {
-        stats_.consumed++;
-        EmitTuple(0, t);
-      }
+      for (const TupleBatch& row : rows_) PushBatch(0, row);
     });
   }
 
-  void Consume(int, uint32_t, Tuple) override {}  // no inputs
+  void ProcessBatch(int, uint32_t, const TupleBatch&) override {}  // no inputs
 
   void Close() override {
     if (timer_) cx_->vri->CancelEvent(timer_);
@@ -51,7 +51,7 @@ class SourceOp : public Operator {
   }
 
  private:
-  std::vector<Tuple> tuples_;
+  std::vector<TupleBatch> rows_;
   uint64_t timer_ = 0;
 };
 
@@ -66,15 +66,8 @@ class SelectionOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    Result<bool> keep = pred_->EvalPredicate(t);
-    if (keep.ok() && *keep) EmitTuple(tag, t);
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     std::vector<uint32_t> keep_rows;
     keep_rows.reserve(n);
     for (size_t r = 0; r < n; ++r) {
@@ -114,19 +107,7 @@ class ProjectionOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    Tuple out = cols_.empty() ? Tuple(t.table()) : t.Project(cols_);
-    if (!out_table_.empty()) out.set_table(out_table_);
-    for (const auto& [name, expr] : computed_) {
-      Result<Value> v = expr->Eval(t);
-      if (!v.ok()) return;  // best-effort: discard the whole tuple
-      out.Append(name, std::move(v).value());
-    }
-    EmitTuple(tag, out);
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
+  void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const BatchSchema& in = *batch.schema();
     // Resolve the projected columns once per batch (all rows share the
     // schema); missing columns are skipped, as in Tuple::Project.
@@ -136,17 +117,18 @@ class ProjectionOp : public Operator {
       int idx = in.Index(c);
       if (idx >= 0) keep.push_back(idx);
     }
+    const size_t n = batch.num_rows();
+    const std::string& table = out_table_.empty() ? in.table : out_table_;
     if (keep.empty() && computed_.empty()) {
-      // Every projected column is missing: the output rows have no columns,
-      // which the cell-wise builder below cannot delimit. Singleton fallback
-      // (the scalar path emits one empty tuple per input row).
-      Operator::ProcessBatch(port, tag, batch);
+      // Every projected column is missing: each row projects to a tuple with
+      // no columns, which the cell-wise builder below cannot delimit. Push
+      // one such row per input row.
+      const TupleBatch empty_row = TupleBatch::FromTuple(Tuple(table));
+      for (size_t r = 0; r < n; ++r) PushBatch(tag, empty_row);
       return;
     }
-    const size_t n = batch.num_rows();
-    stats_.consumed += n;
     auto schema = std::make_shared<BatchSchema>();
-    schema->table = out_table_.empty() ? in.table : out_table_;
+    schema->table = table;
     for (int idx : keep) schema->columns.push_back(in.columns[idx]);
     for (const auto& [name, expr] : computed_) schema->columns.push_back(name);
     TupleBatchBuilder out(std::move(schema));
@@ -180,12 +162,7 @@ class ProjectionOp : public Operator {
 class TeeOp : public Operator {
  public:
   using Operator::Operator;
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    EmitTuple(tag, t);
-  }
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
-    stats_.consumed += batch.num_rows();
     PushBatch(tag, batch);
   }
 };
@@ -202,14 +179,7 @@ class UnionOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    if (!out_table_.empty()) t.set_table(out_table_);
-    EmitTuple(tag, t);
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
-    stats_.consumed += batch.num_rows();
     PushBatch(tag, out_table_.empty() ? batch : batch.WithTable(out_table_));
   }
 
@@ -229,51 +199,19 @@ class DupElimOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    const Tuple& key_tuple = cols_.empty() ? t : (scratch_ = t.Project(cols_));
-    uint64_t h = key_tuple.Hash();
-    auto [it, inserted] = seen_.try_emplace(h);
-    if (!inserted) {
-      // Hash collision check: only equal tuples are duplicates.
-      for (const Tuple& prev : it->second) {
-        if (prev == key_tuple) return;
-      }
-    }
-    it->second.push_back(key_tuple);
-    EmitTuple(tag, t);
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (!cols_.empty()) {
-      // Dedup on a column subset needs per-row projection; take the
-      // singleton fallback.
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
+  void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     std::vector<uint32_t> fresh_rows;
     fresh_rows.reserve(n);
     for (size_t r = 0; r < n; ++r) {
-      // RowHash matches Tuple::Hash, so duplicates cost no materialization;
-      // only first-seen rows (and hash collisions) build a Tuple.
-      uint64_t h = batch.RowHash(r);
-      auto [it, inserted] = seen_.try_emplace(h);
-      if (!inserted) {
-        Tuple key_tuple = batch.RowTuple(r);
-        bool dup = false;
-        for (const Tuple& prev : it->second) {
-          if (prev == key_tuple) {
-            dup = true;
-            break;
-          }
-        }
-        if (dup) continue;
-        it->second.push_back(std::move(key_tuple));
-      } else {
-        it->second.push_back(batch.RowTuple(r));
+      Tuple key = cols_.empty() ? batch.RowTuple(r)
+                                : batch.RowTuple(r).Project(cols_);
+      std::vector<Tuple>& bucket = seen_[key.Hash()];
+      // Only equal keys are duplicates, not mere hash collisions.
+      if (std::find(bucket.begin(), bucket.end(), key) != bucket.end()) {
+        continue;
       }
+      bucket.push_back(std::move(key));
       fresh_rows.push_back(static_cast<uint32_t>(r));
     }
     if (fresh_rows.size() == n) {
@@ -288,7 +226,6 @@ class DupElimOp : public Operator {
  private:
   std::vector<std::string> cols_;
   std::unordered_map<uint64_t, std::vector<Tuple>> seen_;
-  Tuple scratch_;
 };
 
 /// Queue (§3.3.5): absorbs pushes and re-emits from a zero-delay timer so
@@ -303,29 +240,17 @@ class QueueOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    if (buffered_rows_ >= max_size_) {
-      dropped_++;  // back-pressure by shedding, never by blocking
-      return;
-    }
-    buf_.push_back(Item{tag, std::move(t), TupleBatch()});
-    buffered_rows_++;
-    Arm();
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     if (buffered_rows_ >= max_size_) {
-      dropped_ += n;
+      dropped_ += n;  // back-pressure by shedding, never by blocking
       return;
     }
     size_t take = std::min(n, max_size_ - buffered_rows_);
     dropped_ += n - take;
     // The batch is parked across events, so it must own its payloads (a
     // borrowed frame dies when this call returns).
-    buf_.push_back(Item{tag, Tuple(), batch.Slice(0, take).EnsureOwned()});
+    buf_.push_back(Item{tag, batch.Slice(0, take).EnsureOwned()});
     buffered_rows_ += take;
     Arm();
   }
@@ -344,7 +269,6 @@ class QueueOp : public Operator {
  private:
   struct Item {
     uint32_t tag;
-    Tuple t;          // valid when b is empty
     TupleBatch b;
   };
 
@@ -360,13 +284,7 @@ class QueueOp : public Operator {
     size_t budget = 256;
     while (!buf_.empty() && budget > 0) {
       Item& front = buf_.front();
-      if (front.b.empty()) {
-        buffered_rows_--;
-        budget--;
-        Item item = std::move(buf_.front());
-        buf_.pop_front();
-        EmitTuple(item.tag, item.t);
-      } else if (front.b.num_rows() <= budget) {
+      if (front.b.num_rows() <= budget) {
         buffered_rows_ -= front.b.num_rows();
         budget -= front.b.num_rows();
         Item item = std::move(buf_.front());
@@ -402,17 +320,8 @@ class LimitOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    if (passed_ >= k_) return;
-    passed_++;
-    EmitTuple(tag, t);
-    if (passed_ >= k_ && cx_->request_stop) cx_->request_stop();
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     if (passed_ >= k_) return;
     size_t take = std::min(n, static_cast<size_t>(k_ - passed_));
     passed_ += static_cast<int64_t>(take);
@@ -439,31 +348,30 @@ class ControlOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
+  void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
+    const size_t n = batch.num_rows();
     if (!paused_) {
-      EmitTuple(tag, t);
+      PushBatch(tag, batch);
       return;
     }
-    if (buf_.size() < max_buffer_) buf_.emplace_back(tag, std::move(t));
-  }
-
-  void ProcessBatch(int port, uint32_t tag, const TupleBatch& batch) override {
-    if (paused_) {
-      // Buffering is per-tuple; take the singleton fallback.
-      Operator::ProcessBatch(port, tag, batch);
-      return;
-    }
-    stats_.consumed += batch.num_rows();
-    PushBatch(tag, batch);
+    // Paused: keep what fits under max_buffer rows, drop the rest. The
+    // batch is held across events, so it must own its payloads.
+    size_t take = std::min(n, max_buffer_ - buffered_rows_);
+    if (take == 0) return;
+    buf_.emplace_back(tag, batch.Slice(0, take).EnsureOwned());
+    buffered_rows_ += take;
   }
 
   void Pause() { paused_ = true; }
 
+  /// Release the buffered rows in arrival order, one row per push.
   void Resume() {
     paused_ = false;
-    for (auto& [tag, t] : buf_) EmitTuple(tag, t);
+    for (const auto& [tag, b] : buf_) {
+      for (size_t r = 0; r < b.num_rows(); ++r) PushBatch(tag, b.Slice(r, 1));
+    }
     buf_.clear();
+    buffered_rows_ = 0;
   }
 
   void Flush() override {
@@ -472,14 +380,18 @@ class ControlOp : public Operator {
     paused_ = true;
   }
 
-  void Close() override { buf_.clear(); }
+  void Close() override {
+    buf_.clear();
+    buffered_rows_ = 0;
+  }
 
   bool paused() const { return paused_; }
 
  private:
   bool paused_ = false;
   size_t max_buffer_ = 4096;
-  std::deque<std::pair<uint32_t, Tuple>> buf_;
+  size_t buffered_rows_ = 0;
+  std::deque<std::pair<uint32_t, TupleBatch>> buf_;
 };
 
 /// In-memory table materializer (§3.3.4): stores the input stream as a local
@@ -499,18 +411,8 @@ class MaterializerOp : public Operator {
     return Status::Ok();
   }
 
-  void Consume(int, uint32_t tag, Tuple t) override {
-    stats_.consumed++;
-    std::string key = t.PartitionKey(key_attrs_);
-    std::string suffix = cx_->NextSuffix();
-    cx_->dht->objects()->Put(ObjectNameView{ns_, key, suffix}, t.Encode(),
-                             lifetime_);
-    EmitTuple(tag, t);
-  }
-
   void ProcessBatch(int, uint32_t tag, const TupleBatch& batch) override {
     const size_t n = batch.num_rows();
-    stats_.consumed += n;
     for (size_t r = 0; r < n; ++r) {
       std::string key = batch.RowPartitionKey(r, key_attrs_);
       std::string suffix = cx_->NextSuffix();

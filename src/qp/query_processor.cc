@@ -12,13 +12,9 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
   tree_ = std::make_unique<DistributionTree>(dht_, options_.tree);
   executor_ = std::make_unique<QueryExecutor>(vri_, dht_);
 
-  executor_->set_result_sink(
-      [this](uint64_t qid, const NetAddress& proxy, const Tuple& t) {
-        ForwardAnswer(qid, proxy, t);
-      });
-  executor_->set_batch_result_sink(
+  executor_->set_answer_sink(
       [this](uint64_t qid, const NetAddress& proxy, const TupleBatch& b) {
-        ForwardAnswerBatch(qid, proxy, b);
+        ForwardAnswer(qid, proxy, b);
       });
 
   // Teardown cost flush: a node whose operators consumed tuples but never
@@ -170,12 +166,11 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
 
   dht_->router()->RegisterDirectType(
       kMsgAnswer, [this](const NetAddress& from, std::string_view body) {
-        HandleAnswerMsg(from, body);
+        HandleAnswerMsg(from, body, /*batch_frame=*/false);
       });
-
   dht_->router()->RegisterDirectType(
       kMsgAnswerBatch, [this](const NetAddress& from, std::string_view body) {
-        HandleAnswerBatchMsg(from, body);
+        HandleAnswerMsg(from, body, /*batch_frame=*/true);
       });
 }
 
@@ -726,12 +721,13 @@ void QueryProcessor::StartRangeGraph(const QueryPlan& plan, const OpGraph& g) {
       [this, pht, qid, gid, inject_op](const Status& s,
                                        std::vector<PhtItem> items) {
         if (!s.ok()) return;
-        for (const PhtItem& item : items) {
-          Result<Tuple> t = Tuple::Decode(item.value);
-          if (!t.ok()) continue;
+        // One row per batch, in PHT order; malformed items are skipped.
+        BatchAssembler rows(/*max_rows=*/1);
+        for (const PhtItem& item : items) (void)rows.AddEncoded(item.value);
+        for (const TupleBatch& row : rows.TakeBatches()) {
           // NotFound here means the query was stopped while the PHT scan
           // was in flight — late matches have nowhere to go by design.
-          (void)executor_->InjectTuple(qid, gid, inject_op, *t);
+          (void)executor_->InjectBatch(qid, gid, inject_op, row);
         }
       });
 }
@@ -757,25 +753,41 @@ void QueryProcessor::DeliverAnswer(ClientQuery* client, const Tuple& t) {
 }
 
 void QueryProcessor::ForwardAnswer(uint64_t query_id, const NetAddress& proxy,
-                                   const Tuple& t) {
+                                   const TupleBatch& batch) {
+  const size_t n = batch.num_rows();
+  if (n == 0) return;
   if (proxy == dht_->local_address() || proxy.IsNull()) {
-    // This node is the proxy: deliver directly to the client. No wire
-    // message, so the answer pseudo-op counts the tuple but no msgs/bytes.
-    executor_->MeterAnswer(query_id, 0, /*on_wire=*/false);
-    auto it = clients_.find(query_id);
-    if (it == clients_.end()) return;  // client cancelled or timed out
-    DeliverAnswer(&it->second, t);
+    // This node is the proxy: deliver each row directly to the client. No
+    // wire message, so the answer pseudo-op counts the rows but no
+    // msgs/bytes. clients_ is re-found per row because a client may
+    // Cancel() from inside its own on_tuple.
+    for (size_t r = 0; r < n; ++r) {
+      executor_->MeterAnswer(query_id, 0, /*on_wire=*/false);
+      auto it = clients_.find(query_id);
+      if (it == clients_.end()) continue;  // client cancelled or timed out
+      DeliverAnswer(&it->second, batch.RowTuple(r));
+    }
     return;
   }
-  stats_.answers_forwarded++;
-  // Framed once, moved down: answer tuples are the hottest steady-state
-  // message of a running query (no re-framing copy in SendDirect).
-  WireWriter w = OverlayRouter::FrameMessage(kMsgAnswer);
+  stats_.answers_forwarded += n;
+  // One frame per batch, framed once and moved down: answers are the
+  // hottest steady-state message of a running query (no re-framing copy in
+  // SendDirect). A single row travels in the single-answer frame, whose
+  // tuple encoding EncodeRowTo reproduces byte for byte.
+  WireWriter w = OverlayRouter::FrameMessage(n == 1 ? kMsgAnswer
+                                                    : kMsgAnswerBatch);
   w.PutU64(query_id);
-  t.EncodeTo(&w);
-  // Meter the frame BEFORE the cost block is appended, so the block's own
-  // answer-slot snapshot includes this very frame — the proxy's aggregate
-  // then matches independently counted wire traffic exactly.
+  if (n == 1) {
+    batch.EncodeRowTo(0, &w);
+  } else {
+    batch.EncodeTo(&w);
+  }
+  // Meter every row, but charge the wire exactly once with the real frame
+  // size, so the meter agrees with independently counted wire traffic
+  // (E16). The frame is metered BEFORE the cost block is appended, so the
+  // block's own answer-slot snapshot includes this very frame.
+  for (size_t r = 0; r + 1 < n; ++r)
+    executor_->MeterAnswer(query_id, 0, /*on_wire=*/false);
   QueryMeter* meter = executor_->MeterAnswer(query_id, w.size(),
                                              /*on_wire=*/true);
   if (answer_bytes_metric_ != nullptr)
@@ -799,85 +811,26 @@ void QueryProcessor::ForwardAnswer(uint64_t query_id, const NetAddress& proxy,
       });
 }
 
-void QueryProcessor::ForwardAnswerBatch(uint64_t query_id,
-                                        const NetAddress& proxy,
-                                        const TupleBatch& batch) {
-  const size_t n = batch.num_rows();
-  if (n == 0) return;
-  if (n == 1) {
-    // Singleton fallback: the per-tuple frame keeps the wire byte-identical
-    // to the scalar path.
-    ForwardAnswer(query_id, proxy, batch.RowTuple(0));
-    return;
-  }
-  if (proxy == dht_->local_address() || proxy.IsNull()) {
-    // Local proxy: per-row delivery, each answer metered exactly as on the
-    // scalar path (no wire message). clients_ is re-found per row because a
-    // client may Cancel() from inside its own on_tuple.
-    for (size_t r = 0; r < n; ++r) {
-      executor_->MeterAnswer(query_id, 0, /*on_wire=*/false);
-      auto it = clients_.find(query_id);
-      if (it == clients_.end()) continue;
-      DeliverAnswer(&it->second, batch.RowTuple(r));
-    }
-    return;
-  }
-  stats_.answers_forwarded += n;
-  WireWriter w = OverlayRouter::FrameMessage(kMsgAnswerBatch);
-  w.PutU64(query_id);
-  batch.EncodeTo(&w);
-  // Meter every row, but charge the wire exactly once with the real frame
-  // size — the whole point of batching is n tuples for one message, and the
-  // meter must agree with independently counted wire traffic (E16).
-  for (size_t r = 0; r + 1 < n; ++r)
-    executor_->MeterAnswer(query_id, 0, /*on_wire=*/false);
-  QueryMeter* meter = executor_->MeterAnswer(query_id, w.size(),
-                                             /*on_wire=*/true);
-  if (answer_bytes_metric_ != nullptr)
-    answer_bytes_metric_->Observe(static_cast<double>(w.size()));
-  if (meter != nullptr && meter->ShouldPiggyback()) AppendCostBlock(&w, *meter);
-  dht_->router()->SendFramed(
-      proxy, std::move(w).data(), [this, query_id, proxy](const Status& s) {
-        if (s.ok()) {
-          executor_->NoteAnswerForwardSuccess(query_id, proxy);
-        } else {
-          executor_->NoteAnswerForwardFailure(query_id, proxy);
-        }
-      });
-}
-
-void QueryProcessor::HandleAnswerBatchMsg(const NetAddress& from,
-                                          std::string_view body) {
-  WireReader r(body);
-  uint64_t qid;
-  if (!r.GetU64(&qid).ok()) return;
-  // Zero-copy decode: string cells alias `body` for the duration of this
-  // handler; every row is materialized before the frame goes away.
-  Result<TupleBatch> batch = TupleBatch::DecodeFrom(&r, body);
-  if (!batch.ok()) return;
-  auto it = clients_.find(qid);
-  if (it == clients_.end()) {
-    executor_->NoteStrayAnswer(qid);
-    it = clients_.find(qid);
-    if (it == clients_.end()) return;
-  }
-  std::map<QueryMeter::Key, OpCost> snapshot;
-  if (DecodeCostBlock(&r, &snapshot))
-    it->second.remote_costs[from] = std::move(snapshot);
-  for (size_t row = 0; row < batch->num_rows(); ++row) {
-    auto cit = clients_.find(qid);  // the client may Cancel() mid-batch
-    if (cit == clients_.end()) return;
-    DeliverAnswer(&cit->second, batch->RowTuple(row));
-  }
-}
-
 void QueryProcessor::HandleAnswerMsg(const NetAddress& from,
-                                     std::string_view body) {
+                                     std::string_view body, bool batch_frame) {
   WireReader r(body);
   uint64_t qid;
   if (!r.GetU64(&qid).ok()) return;
-  Result<Tuple> t = Tuple::DecodeFrom(&r);
-  if (!t.ok()) return;
+  std::vector<Tuple> rows;
+  if (batch_frame) {
+    // Zero-copy decode: string cells alias `body` for the duration of this
+    // handler; every row is materialized before the frame goes away.
+    Result<TupleBatch> batch = TupleBatch::DecodeFrom(&r, body);
+    if (!batch.ok()) return;
+    rows.reserve(batch->num_rows());
+    for (size_t row = 0; row < batch->num_rows(); ++row) {
+      rows.push_back(batch->RowTuple(row));
+    }
+  } else {
+    Result<Tuple> t = Tuple::DecodeFrom(&r);
+    if (!t.ok()) return;
+    rows.push_back(std::move(t).value());
+  }
   auto it = clients_.find(qid);
   if (it == clients_.end()) {
     // An answer for a query this node does not proxy: either a late answer
@@ -893,7 +846,11 @@ void QueryProcessor::HandleAnswerMsg(const NetAddress& from,
   std::map<QueryMeter::Key, OpCost> snapshot;
   if (DecodeCostBlock(&r, &snapshot))
     it->second.remote_costs[from] = std::move(snapshot);
-  DeliverAnswer(&it->second, *t);
+  for (const Tuple& t : rows) {
+    auto cit = clients_.find(qid);  // the client may Cancel() mid-frame
+    if (cit == clients_.end()) return;
+    DeliverAnswer(&cit->second, t);
+  }
 }
 
 QueryCostReport QueryProcessor::QueryCosts(uint64_t query_id) const {

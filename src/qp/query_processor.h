@@ -404,13 +404,15 @@ class QueryProcessor {
   void BindQueryMetrics(ClientQuery* client, uint64_t query_id);
   void Disseminate(const QueryPlan& plan);
   void HandleDisseminationBlob(std::string_view blob);
-  void HandleAnswerMsg(const NetAddress& from, std::string_view body);
-  void HandleAnswerBatchMsg(const NetAddress& from, std::string_view body);
-  void ForwardAnswer(uint64_t query_id, const NetAddress& proxy, const Tuple& t);
-  /// Batch flavor: one kMsgAnswerBatch frame per destination (singleton
-  /// batches take the per-tuple path, keeping the wire format unchanged).
-  void ForwardAnswerBatch(uint64_t query_id, const NetAddress& proxy,
-                          const TupleBatch& batch);
+  /// Deliver a kMsgAnswer (one tuple) or kMsgAnswerBatch frame to the
+  /// query's client, and keep the sender's piggybacked cost snapshot.
+  void HandleAnswerMsg(const NetAddress& from, std::string_view body,
+                       bool batch_frame);
+  /// Send answer rows to the proxy: one kMsgAnswerBatch frame per batch,
+  /// or the kMsgAnswer frame for a 1-row batch; direct delivery when this
+  /// node is the proxy.
+  void ForwardAnswer(uint64_t query_id, const NetAddress& proxy,
+                     const TupleBatch& batch);
   void StartRangeGraph(const QueryPlan& meta, const OpGraph& g);
 
   Vri* vri_;

@@ -1,13 +1,16 @@
 // Operator-level tests: local opgraphs on a one-node network, driven through
-// the executor with injected tuples. These exercise each operator's contract
+// the executor with injected batches. These exercise each operator's contract
 // (including the best-effort malformed-tuple policy) without the cost of a
 // full multi-node simulation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <map>
 
 #include "data/tuple_batch.h"
+#include "qp/agg_state.h"
 #include "qp/sim_pier.h"
 #include "util/random.h"
 
@@ -15,7 +18,7 @@ namespace pier {
 namespace {
 
 /// A one-node rig: builds a local graph source[inject] -> <middle> -> result
-/// and collects emitted tuples.
+/// and collects the answer tuples.
 class LocalGraph {
  public:
   explicit LocalGraph(uint64_t seed = 99) {
@@ -56,11 +59,15 @@ class LocalGraph {
     return ids;
   }
 
-  void Inject(const Tuple& t) {
-    EXPECT_TRUE(net_->qp(0)
-                    ->executor()
-                    ->InjectTuple(plan_.query_id, graph_id_, src_id_, t)
-                    .ok());
+  /// Inject one row as a 1-row batch.
+  void Inject(const Tuple& t) { InjectBatch(TupleBatch::FromTuple(t)); }
+
+  /// Inject `rows` in order as batches of at most `batch_rows` rows (the
+  /// assembler also rolls a batch on every schema change).
+  void InjectRows(const std::vector<Tuple>& rows, size_t batch_rows) {
+    BatchAssembler assembler(batch_rows);
+    for (const Tuple& t : rows) assembler.Add(t);
+    for (const TupleBatch& b : assembler.TakeBatches()) InjectBatch(b);
   }
 
   void InjectBatch(const TupleBatch& b) {
@@ -78,6 +85,8 @@ class LocalGraph {
     return net_->qp(0)->executor()->FindOp(plan_.query_id, graph_id_, id);
   }
 
+  SimPier* net() { return net_.get(); }
+
   std::vector<Tuple> out;
 
  private:
@@ -93,6 +102,14 @@ Tuple Row(int64_t a, int64_t b) {
   t.Append("a", Value::Int64(a));
   t.Append("b", Value::Int64(b));
   return t;
+}
+
+/// Wire encodings, for byte-exact stream comparisons.
+std::vector<std::string> Enc(const std::vector<Tuple>& ts) {
+  std::vector<std::string> out;
+  out.reserve(ts.size());
+  for (const Tuple& t : ts) out.push_back(t.Encode());
+  return out;
 }
 
 TEST(Operators, SelectionDiscardsMalformedTuplesSilently) {
@@ -278,10 +295,343 @@ TEST(Operators, MaterializerMakesTupleScanableLocally) {
 
   ASSERT_TRUE(net.qp(0)->SubmitQuery(plan, [](const Tuple&) {}).ok());
   net.RunFor(100 * kMillisecond);
-  ASSERT_TRUE(
-      net.qp(0)->executor()->InjectTuple(plan.query_id, g.id, src_id, Row(7, 8)).ok());
+  ASSERT_TRUE(net.qp(0)
+                  ->executor()
+                  ->InjectBatch(plan.query_id, g.id, src_id,
+                                TupleBatch::FromTuple(Row(7, 8)))
+                  .ok());
   net.RunFor(100 * kMillisecond);
   EXPECT_EQ(net.dht(0)->objects()->NamespaceObjects("mat_table"), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Operators whose former body was tuple-at-a-time only. Each is fed the same
+// rows once as 1-row batches and once as 64-row batches; the answers must be
+// exact (and identical) both times.
+// ---------------------------------------------------------------------------
+
+constexpr size_t kBatchSizes[] = {1, 64};
+
+std::vector<Tuple> Rows(int n, int64_t (*b_of)(int)) {
+  std::vector<Tuple> rows;
+  for (int i = 0; i < n; ++i) rows.push_back(Row(i, b_of(i)));
+  return rows;
+}
+
+TEST(ConvertedOperators, SourceInjectPassesRowsInOrder) {
+  std::vector<Tuple> rows = Rows(150, [](int i) { return int64_t{i} * 3; });
+  rows.push_back(Tuple("other", {{"z", Value::String("zz")}}));
+  for (size_t batch_rows : kBatchSizes) {
+    LocalGraph g;
+    g.Build({});
+    g.InjectRows(rows, batch_rows);
+    g.Run();
+    EXPECT_EQ(Enc(g.out), Enc(rows)) << batch_rows << "-row batches";
+  }
+}
+
+TEST(ConvertedOperators, SourceConstantTuplesArriveInOrder) {
+  SimPier::Options opts;
+  opts.sim.seed = 6;
+  opts.settle_time = 1 * kSecond;
+  SimPier net(1, opts);
+  QueryPlan plan;
+  plan.query_id = 60003;
+  plan.timeout = 5 * kSecond;
+  OpGraph& g = plan.AddGraph();
+  g.dissem = DissemKind::kLocal;
+  OpSpec& src = g.AddOp(OpKind::kSource);
+  std::vector<Tuple> rows = {Row(1, 2), Tuple("u", {{"s", Value::String("x")}}),
+                             Row(3, 4)};
+  for (size_t i = 0; i < rows.size(); ++i)
+    src.Set("tuple" + std::to_string(i), rows[i].Encode());
+  uint32_t src_id = src.id;
+  OpSpec& res = g.AddOp(OpKind::kResult);
+  g.Connect(src_id, res.id, 0);
+  std::vector<Tuple> out;
+  auto collect = [&out](const Tuple& t) { out.push_back(t); };
+  ASSERT_TRUE(net.qp(0)->SubmitQuery(plan, collect).ok());
+  net.RunFor(kSecond);
+  EXPECT_EQ(Enc(out), Enc(rows));
+}
+
+TEST(ConvertedOperators, TopKEmitsExactTopRowsInOrder) {
+  // b = 37 i mod 100 is a permutation of 0..99: no ties.
+  std::vector<Tuple> rows =
+      Rows(100, [](int i) { return int64_t{i} * 37 % 100; });
+  rows.push_back(Tuple("t", {{"a", Value::Int64(500)}}));  // no b: discarded
+  std::vector<Tuple> want(rows.begin(), rows.end() - 1);
+  std::sort(want.begin(), want.end(), [](const Tuple& x, const Tuple& y) {
+    return *x.Get("b")->AsInt64() > *y.Get("b")->AsInt64();
+  });
+  want.resize(5);
+  for (size_t batch_rows : kBatchSizes) {
+    LocalGraph g;
+    OpSpec topk(0, OpKind::kTopK);
+    topk.SetInt("k", 5);
+    topk.Set("col", "b");
+    topk.SetInt("desc", 1);
+    g.Build({topk});
+    g.InjectRows(rows, batch_rows);
+    g.Run();
+    EXPECT_TRUE(g.out.empty()) << "blocking operator: nothing before flush";
+    g.Flush();
+    g.Run();
+    EXPECT_EQ(Enc(g.out), Enc(want)) << batch_rows << "-row batches";
+  }
+}
+
+TEST(ConvertedOperators, BloomCreateThenProbePassesExactlyTheBuildKeys) {
+  for (size_t batch_rows : kBatchSizes) {
+    SimPier::Options opts;
+    opts.sim.seed = 7;
+    opts.settle_time = 1 * kSecond;
+    SimPier net(1, opts);
+    QueryPlan plan;
+    plan.query_id = 60004;
+    plan.timeout = 30 * kSecond;
+    // Graph 1: source -> bloomcreate over the build keys. Graph 2:
+    // source -> bloomprobe -> result over the probe rows.
+    OpGraph& build = plan.AddGraph();
+    build.dissem = DissemKind::kLocal;
+    OpSpec& bsrc = build.AddOp(OpKind::kSource);
+    bsrc.SetInt("inject", 1);
+    uint32_t bsrc_id = bsrc.id;
+    OpSpec& bc = build.AddOp(OpKind::kBloomCreate);
+    bc.Set("col", "a");
+    bc.Set("ns", "bf");
+    build.Connect(bsrc_id, bc.id, 0);
+    uint32_t build_id = build.id;
+    OpGraph& probe = plan.AddGraph();
+    probe.dissem = DissemKind::kLocal;
+    OpSpec& psrc = probe.AddOp(OpKind::kSource);
+    psrc.SetInt("inject", 1);
+    uint32_t psrc_id = psrc.id;
+    OpSpec& bp = probe.AddOp(OpKind::kBloomProbe);
+    bp.Set("col", "a");
+    bp.Set("ns", "bf");
+    bp.SetInt("wait_ms", 1000);
+    uint32_t bp_id = bp.id;
+    probe.Connect(psrc_id, bp_id, 0);
+    OpSpec& res = probe.AddOp(OpKind::kResult);
+    probe.Connect(bp_id, res.id, 0);
+    uint32_t probe_id = probe.id;
+
+    std::vector<Tuple> out;
+    auto collect = [&out](const Tuple& t) { out.push_back(t); };
+    ASSERT_TRUE(net.qp(0)->SubmitQuery(plan, collect).ok());
+    net.RunFor(100 * kMillisecond);
+    QueryExecutor* ex = net.qp(0)->executor();
+    auto inject = [&](uint32_t graph, uint32_t src,
+                      const std::vector<Tuple>& rows) {
+      BatchAssembler assembler(batch_rows);
+      for (const Tuple& t : rows) assembler.Add(t);
+      for (const TupleBatch& b : assembler.TakeBatches())
+        ASSERT_TRUE(ex->InjectBatch(plan.query_id, graph, src, b).ok());
+    };
+    // Build keys: the even a in [0, 20).
+    std::vector<Tuple> build_rows;
+    for (int i = 0; i < 20; i += 2) build_rows.push_back(Row(i, 0));
+    inject(build_id, bsrc_id, build_rows);
+    ex->FlushQuery(plan.query_id);  // ships the build filter
+    net.RunFor(100 * kMillisecond);
+    // Probe rows before the filter is fetched are held, then released.
+    std::vector<Tuple> early = Rows(40, [](int i) { return int64_t{i}; });
+    early.push_back(Tuple("t", {{"b", Value::Int64(1)}}));  // no a: dropped
+    inject(probe_id, psrc_id, early);
+    EXPECT_TRUE(out.empty()) << "probe rows wait for the filter";
+    net.RunFor(2 * kSecond);
+    std::vector<Tuple> late = Rows(40, [](int i) { return int64_t{100 + i}; });
+    inject(probe_id, psrc_id, late);
+    net.RunFor(500 * kMillisecond);
+
+    std::vector<Tuple> want;
+    for (const auto* rows : {&early, &late}) {
+      for (const Tuple& t : *rows) {
+        const Value* a = t.Get("a");
+        if (a != nullptr && *a->AsInt64() < 20 && *a->AsInt64() % 2 == 0)
+          want.push_back(t);
+      }
+    }
+    EXPECT_EQ(Enc(out), Enc(want)) << batch_rows << "-row batches";
+  }
+}
+
+TEST(ConvertedOperators, ControlBuffersWhilePausedAndReleasesInOrder) {
+  std::vector<Tuple> rows = Rows(80, [](int i) { return int64_t{i} % 7; });
+  for (size_t batch_rows : kBatchSizes) {
+    LocalGraph g;
+    OpSpec ctl(0, OpKind::kControl);
+    ctl.SetInt("paused", 1);
+    ctl.SetInt("max_buffer", 50);
+    g.Build({ctl});
+    g.InjectRows(rows, batch_rows);
+    g.Run();
+    EXPECT_TRUE(g.out.empty()) << "paused: nothing passes";
+    g.Flush();  // releases the buffer, stays paused
+    g.Run();
+    std::vector<Tuple> want(rows.begin(), rows.begin() + 50);
+    EXPECT_EQ(Enc(g.out), Enc(want)) << "bounded by max_buffer, in order";
+    std::vector<Tuple> more = Rows(3, [](int) { return int64_t{-1}; });
+    g.InjectRows(more, batch_rows);
+    g.Run();
+    EXPECT_EQ(g.out.size(), 50u) << "still paused after a flush";
+    g.Flush();
+    g.Run();
+    want.insert(want.end(), more.begin(), more.end());
+    EXPECT_EQ(Enc(g.out), Enc(want)) << batch_rows << "-row batches";
+
+    LocalGraph open;
+    open.Build({OpSpec(0, OpKind::kControl)});
+    open.InjectRows(rows, batch_rows);
+    open.Run();
+    EXPECT_EQ(Enc(open.out), Enc(rows)) << "unpaused: pass-through";
+  }
+}
+
+/// One partial-state row, as a mode=partial GroupBy emits it, folding
+/// `values` for count::n, sum:b:total and min:b:lo.
+Tuple PartialRow(int64_t a, std::vector<int64_t> values) {
+  AggSpec count{AggFunc::kCount, "", "n"}, sum{AggFunc::kSum, "b", "total"},
+      min{AggFunc::kMin, "b", "lo"};
+  AggState sc, ss, sm;
+  for (int64_t v : values) {
+    sc.UpdateValue(count, Value::Int64(v), true);
+    ss.UpdateValue(sum, Value::Int64(v), true);
+    sm.UpdateValue(min, Value::Int64(v), true);
+  }
+  Tuple t("agg");
+  t.Append("a", Value::Int64(a));
+  sc.ToPartialColumns("n", &t);
+  ss.ToPartialColumns("total", &t);
+  sm.ToPartialColumns("lo", &t);
+  return t;
+}
+
+TEST(ConvertedOperators, GroupByFinalMergesPartialStates) {
+  std::vector<Tuple> rows;
+  for (int rep = 0; rep < 30; ++rep) {
+    rows.push_back(PartialRow(1, {10, 20}));
+    rows.push_back(PartialRow(2, {5}));
+  }
+  rows.push_back(PartialRow(1, {-3}));
+  rows.push_back(Tuple("agg", {{"n#n", Value::Int64(9)}}));  // no key: dropped
+  auto final_row = [](int64_t a, int64_t n, int64_t total, int64_t lo) {
+    Tuple t("agg");
+    t.Append("a", Value::Int64(a));
+    t.Append("n", Value::Int64(n));
+    t.Append("total", Value::Int64(total));
+    t.Append("lo", Value::Int64(lo));
+    return t;
+  };
+  std::vector<Tuple> want = {final_row(1, 61, 30 * 30 - 3, -3),
+                             final_row(2, 30, 30 * 5, 5)};
+  for (size_t batch_rows : kBatchSizes) {
+    LocalGraph g;
+    OpSpec fin(0, OpKind::kGroupBy);
+    fin.SetStrings("keys", {"a"});
+    fin.Set("aggs", "count::n,sum:b:total,min:b:lo");
+    fin.Set("mode", "final");
+    g.Build({fin});
+    g.InjectRows(rows, batch_rows);
+    g.Run();
+    g.Flush();
+    g.Run();
+    EXPECT_EQ(Enc(g.out), Enc(want)) << batch_rows << "-row batches";
+  }
+}
+
+TEST(ConvertedOperators, PutStoresEveryRowOnceInBothModes) {
+  std::vector<Tuple> rows = Rows(90, [](int i) { return int64_t{i} % 4; });
+  std::vector<std::string> want = Enc(rows);
+  std::sort(want.begin(), want.end());
+  for (const char* mode : {"send", "put"}) {
+    for (size_t batch_rows : kBatchSizes) {
+      LocalGraph g;
+      OpSpec put(0, OpKind::kPut);
+      put.Set("ns", "put_out");
+      put.SetStrings("key", {"a"});
+      put.Set("mode", mode);
+      g.Build({put});
+      g.InjectRows(rows, batch_rows);
+      g.Run(2 * kSecond);
+      std::vector<std::string> stored;
+      g.net()->dht(0)->LocalScan(
+          "put_out", [&](ObjectNameView, std::string_view value) {
+            stored.emplace_back(value);
+          });
+      std::sort(stored.begin(), stored.end());
+      EXPECT_EQ(stored, want) << mode << ", " << batch_rows << "-row batches";
+      EXPECT_TRUE(g.out.empty()) << "put is a sink";
+    }
+  }
+}
+
+TEST(ConvertedOperators, HierJoinProducesTheExactJoinOnce) {
+  // l(k, a) rows enter at node 1, r(k, b) rows at node 2; every node runs
+  // the hierarchical join, and each matching pair reaches the proxy
+  // exactly once (early at a path node, or at the bucket owner).
+  std::vector<Tuple> left, right;
+  for (int i = 0; i < 30; ++i) {
+    left.push_back(
+        Tuple("l", {{"k", Value::Int64(i % 5)}, {"a", Value::Int64(i)}}));
+    right.push_back(
+        Tuple("r", {{"k", Value::Int64(i % 3)}, {"b", Value::Int64(100 + i)}}));
+  }
+  std::vector<std::string> want;
+  for (const Tuple& l : left) {
+    for (const Tuple& r : right) {
+      if (*l.Get("k") == *r.Get("k")) {
+        want.push_back(Tuple("join", {{"k", *l.Get("k")},
+                                      {"a", *l.Get("a")},
+                                      {"b", *r.Get("b")}})
+                           .Encode());
+      }
+    }
+  }
+  std::sort(want.begin(), want.end());
+  for (size_t batch_rows : kBatchSizes) {
+    SimPier::Options opts;
+    opts.sim.seed = 8;
+    SimPier net(8, opts);
+    QueryPlan plan;
+    plan.query_id = 60005;
+    plan.timeout = 20 * kSecond;
+    OpGraph& g = plan.AddGraph();
+    OpSpec& ls = g.AddOp(OpKind::kSource);
+    ls.SetInt("inject", 1);
+    uint32_t ls_id = ls.id;
+    OpSpec& rs = g.AddOp(OpKind::kSource);
+    rs.SetInt("inject", 1);
+    uint32_t rs_id = rs.id;
+    OpSpec& hj = g.AddOp(OpKind::kHierJoin);
+    hj.Set("l_key", "k");
+    hj.Set("r_key", "k");
+    uint32_t hj_id = hj.id;
+    g.Connect(ls_id, hj_id, 0);
+    g.Connect(rs_id, hj_id, 1);
+    uint32_t gid = g.id;
+    std::vector<std::string> got;
+    auto collect = [&got](const Tuple& t) { got.push_back(t.Encode()); };
+    ASSERT_TRUE(net.qp(0)->SubmitQuery(plan, collect).ok());
+    net.RunFor(2 * kSecond);  // the broadcast reaches every node
+    auto inject = [&](uint32_t node, uint32_t src,
+                      const std::vector<Tuple>& rows) {
+      BatchAssembler assembler(batch_rows);
+      for (const Tuple& t : rows) assembler.Add(t);
+      for (const TupleBatch& b : assembler.TakeBatches()) {
+        ASSERT_TRUE(net.qp(node)
+                        ->executor()
+                        ->InjectBatch(plan.query_id, gid, src, b)
+                        .ok());
+      }
+    };
+    inject(1, ls_id, left);
+    inject(2, rs_id, right);
+    net.RunFor(6 * kSecond);
+    std::sort(got.begin(), got.end());
+    EXPECT_EQ(got, want) << batch_rows << "-row batches";
+  }
 }
 
 TEST(Operators, UnknownOpKindIsRejectedNotFatal) {
@@ -334,39 +684,65 @@ TEST(Operators, MalformedStoredObjectsAreSkippedByScan) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch vs scalar equivalence: the same randomized stream through the same
-// middle graph twice — once injected tuple-at-a-time, once as TupleBatches
-// (the assembler rolls batches on schema changes, exactly as the runtime's
-// decode path does). The answer streams must be identical, byte for byte and
-// in order, including across window flush boundaries.
+// Batch equivalence against a golden: the same randomized stream through the
+// same middle graph twice — once as 1-row batches, once as N-row batches (the
+// assembler rolls batches on schema changes, exactly as the runtime's decode
+// path does). Both answer streams must equal the stream recorded in
+// tests/testdata/batch_equivalence.golden byte for byte and in order,
+// including across window flush boundaries. The golden holds the answers of
+// the former tuple-at-a-time execution path, the oracle this suite was built
+// against; it is never regenerated from the code under test.
 // ---------------------------------------------------------------------------
 
-std::vector<std::string> Enc(const std::vector<Tuple>& ts) {
-  std::vector<std::string> out;
-  out.reserve(ts.size());
-  for (const Tuple& t : ts) out.push_back(t.Encode());
+std::string Hex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  out.reserve(bytes.size() * 2);
+  for (unsigned char c : bytes) {
+    out.push_back(kDigits[c >> 4]);
+    out.push_back(kDigits[c & 0xf]);
+  }
   return out;
 }
 
-void ExpectBatchScalarEquivalence(
-    const std::vector<OpSpec>& middle,
-    const std::vector<std::vector<Tuple>>& windows, size_t batch_rows = 64) {
-  LocalGraph scalar(123), batch(123);
-  scalar.Build(middle);
-  batch.Build(middle);
-  for (const std::vector<Tuple>& win : windows) {
-    for (const Tuple& t : win) scalar.Inject(t);
-    scalar.Run();
-    scalar.Flush();
-    scalar.Run();
-    BatchAssembler assembler(batch_rows);
-    for (const Tuple& t : win) assembler.Add(t);
-    for (const TupleBatch& b : assembler.TakeBatches()) batch.InjectBatch(b);
-    batch.Run();
-    batch.Flush();
-    batch.Run();
+/// The golden's sections: "[name]" lines, each followed by one hex-encoded
+/// answer tuple per line.
+std::map<std::string, std::vector<std::string>> LoadGolden() {
+  std::map<std::string, std::vector<std::string>> sections;
+  std::ifstream in(std::string(PIER_TEST_DATA_DIR) +
+                   "/batch_equivalence.golden");
+  std::vector<std::string>* cur = nullptr;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.empty() && line.front() == '[' && line.back() == ']') {
+      cur = &sections[line.substr(1, line.size() - 2)];
+    } else if (cur != nullptr && !line.empty()) {
+      cur->push_back(line);
+    }
   }
-  EXPECT_EQ(Enc(scalar.out), Enc(batch.out));
+  return sections;
+}
+
+void ExpectMatchesGolden(const std::string& section,
+                         const std::vector<OpSpec>& middle,
+                         const std::vector<std::vector<Tuple>>& windows,
+                         size_t batch_rows = 64) {
+  const auto golden = LoadGolden();
+  auto it = golden.find(section);
+  ASSERT_NE(it, golden.end()) << "no golden section [" << section << "]";
+  for (size_t rows : {size_t{1}, batch_rows}) {
+    LocalGraph g(123);
+    g.Build(middle);
+    for (const std::vector<Tuple>& win : windows) {
+      g.InjectRows(win, rows);
+      g.Run();
+      g.Flush();
+      g.Run();
+    }
+    std::vector<std::string> got;
+    for (const std::string& wire : Enc(g.out)) got.push_back(Hex(wire));
+    EXPECT_EQ(got, it->second) << section << " fed as " << rows
+                               << "-row batches";
+  }
 }
 
 /// Randomized rows: duplicate-heavy int key `a` (sometimes missing, sometimes
@@ -400,7 +776,8 @@ TEST(BatchEquivalence, SelectionProjectionDupElimChain) {
   proj.Set("out0", "twice");
   proj.SetExpr("expr0", *ParseExpr("a * 2"));
   OpSpec dedup(0, OpKind::kDupElim);
-  ExpectBatchScalarEquivalence({sel, proj, dedup}, {RandomRows(71, 400)});
+  ExpectMatchesGolden("SelectionProjectionDupElimChain", {sel, proj, dedup},
+                      {RandomRows(71, 400)});
 }
 
 TEST(BatchEquivalence, GroupByAcrossWindowBoundaries) {
@@ -409,8 +786,9 @@ TEST(BatchEquivalence, GroupByAcrossWindowBoundaries) {
   agg.Set("aggs", "count::n,sum:b:total,min:b:lo");
   // Three tumbling windows (Flush between them): per-window group answers
   // must agree, not just the final state.
-  ExpectBatchScalarEquivalence(
-      {agg}, {RandomRows(72, 150), RandomRows(73, 150), RandomRows(74, 150)});
+  ExpectMatchesGolden(
+      "GroupByAcrossWindowBoundaries", {agg},
+      {RandomRows(72, 150), RandomRows(73, 150), RandomRows(74, 150)});
 }
 
 TEST(BatchEquivalence, EddyDrawsIdenticalRoutingDecisions) {
@@ -420,7 +798,9 @@ TEST(BatchEquivalence, EddyDrawsIdenticalRoutingDecisions) {
     eddy.SetExpr("mexpr0", *ParseExpr("a > 5"));
     eddy.SetExpr("mexpr1", *ParseExpr("b < 80"));
     eddy.Set("policy", policy);
-    ExpectBatchScalarEquivalence({eddy}, {RandomRows(75, 300)});
+    ExpectMatchesGolden(
+        std::string("EddyDrawsIdenticalRoutingDecisions/") + policy, {eddy},
+        {RandomRows(75, 300)});
   }
 }
 
@@ -428,7 +808,8 @@ TEST(BatchEquivalence, QueueThenLimitStopsAtTheSameRow) {
   OpSpec q(0, OpKind::kQueue);
   OpSpec lim(0, OpKind::kLimit);
   lim.SetInt("k", 37);
-  ExpectBatchScalarEquivalence({q, lim}, {RandomRows(76, 200)});
+  ExpectMatchesGolden("QueueThenLimitStopsAtTheSameRow", {q, lim},
+                      {RandomRows(76, 200)});
 }
 
 TEST(BatchEquivalence, SymHashJoinMixedTableStream) {
@@ -455,7 +836,8 @@ TEST(BatchEquivalence, SymHashJoinMixedTableStream) {
   shj.Set("r_key", "y");
   shj.Set("l_table", "r");
   shj.Set("r_table", "s");
-  ExpectBatchScalarEquivalence({shj}, {rows}, /*batch_rows=*/32);
+  ExpectMatchesGolden("SymHashJoinMixedTableStream", {shj}, {rows},
+                      /*batch_rows=*/32);
 }
 
 TEST(BatchEquivalence, ReplicatedScanMergeStillDeliversEachRowOnce) {

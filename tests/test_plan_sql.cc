@@ -518,13 +518,17 @@ TEST(AggState, PartialColumnsRoundTrip) {
   }
   Tuple carrier("p");
   s.ToPartialColumns("m", &carrier);
+  auto col = [&carrier](const char* name) { return *carrier.Get(name); };
   AggState back;
-  ASSERT_TRUE(back.FromPartialColumns(carrier, "m"));
+  ASSERT_TRUE(back.FromPartialValues(col("m#n"), col("m#s"), col("m#mn"),
+                                     col("m#mx")));
   EXPECT_EQ(back.count(), 4);
   EXPECT_TRUE(back.Finalize(AggFunc::kAvg).LooseEquals(Value::Double(4.0)));
   EXPECT_TRUE(back.Finalize(AggFunc::kMax).LooseEquals(Value::Int64(10)));
-  AggState missing;
-  EXPECT_FALSE(missing.FromPartialColumns(Tuple("x"), "m"));
+  AggState malformed;
+  EXPECT_FALSE(malformed.FromPartialValues(Value::String("4"), col("m#s"),
+                                           col("m#mn"), col("m#mx")))
+      << "a count that is not an integer is rejected";
 }
 
 TEST(AggState, SkipsMissingAndNullColumns) {

@@ -26,17 +26,16 @@ are all invisible to the compiler and tedious for reviewers:
 
   hot-alloc       A per-row heap allocation of a Tuple (make_shared<Tuple>,
                   make_unique<Tuple>, new Tuple) inside a loop in an
-                  operator's ProcessBatch body. The batch path exists to
-                  amortize per-tuple costs; materializing a heap Tuple per
-                  row silently gives the win back. Use the batch row
-                  accessors (RowTuple/EncodeRow/RowHash are by-value and
-                  stack-friendly) or hoist the allocation out of the loop.
+                  operator's ProcessBatch body. ProcessBatch is every
+                  operator's only data entry point; a heap Tuple per row in
+                  its loop brings back the per-row allocation the batch
+                  layout removes. Use the batch row accessors (EncodeRow,
+                  RowHash, ValueAt are by-value) or hoist the allocation
+                  out of the loop.
 
-Driving: reads compile_commands.json (pass -p BUILD_DIR) for the TU list and,
-when the libclang python bindings are importable, uses the clang AST; without
-them (this container ships none) it falls back to a built-in lexical engine
-that strips comments/strings and reasons about statements. Both engines honor
-the same suppressions and produce the same diagnostic format.
+Driving: reads compile_commands.json (pass -p BUILD_DIR) for the TU list, or
+walks the given source dirs. The checker is a dependency-free lexical engine
+that strips comments/strings and reasons about statements.
 
 Suppressing: append `// pier-lint: allow(<rule>)` to the offending line, or
 put it alone on the line directly above. Suppressions are for sites whose
@@ -362,66 +361,6 @@ def lint_text(path, raw_text, effective_path=None):
 
 
 # --------------------------------------------------------------------------
-# Optional AST engine (libclang python bindings). The lexical engine above is
-# authoritative in containers without the bindings; when they exist the AST
-# engine re-checks timer-capture with real capture/usage information and
-# falls back cleanly on any failure.
-# --------------------------------------------------------------------------
-
-
-def try_ast_engine(compile_commands):
-    try:
-        from clang import cindex  # noqa: F401
-        return cindex
-    except Exception:
-        return None
-
-
-def ast_lint_file(cindex, entry, diags):
-    """AST-based timer-capture: find Schedule* member calls whose result is
-    unused and whose lambda argument captures `this`."""
-    index = cindex.Index.create()
-    args = [a for a in entry["arguments"][1:] if a != "-c"]
-    # Drop the -o <obj> pair; keep include dirs/defines/std.
-    cleaned, skip = [], False
-    for a in args:
-        if skip:
-            skip = False
-            continue
-        if a == "-o":
-            skip = True
-            continue
-        cleaned.append(a)
-    tu = index.parse(entry["file"], args=cleaned)
-
-    def visit(node, parent_kinds):
-        k = node.kind
-        if (k == cindex.CursorKind.CALL_EXPR
-                and node.spelling in ("ScheduleAt", "ScheduleAfter",
-                                      "ScheduleEvent")):
-            captures_this = False
-            for d in node.walk_preorder():
-                if d.kind == cindex.CursorKind.LAMBDA_EXPR:
-                    for tok in d.get_tokens():
-                        if tok.spelling == "]":
-                            break
-                        if tok.spelling in ("this", "=", "&"):
-                            captures_this = True
-            discarded = parent_kinds and parent_kinds[-1] in (
-                cindex.CursorKind.COMPOUND_STMT,)
-            if captures_this and discarded:
-                loc = node.location
-                diags.append(Diagnostic(
-                    str(loc.file), loc.line, "timer-capture",
-                    "lambda captures `this` but the cancellation token is "
-                    "discarded (AST engine)"))
-        for c in node.get_children():
-            visit(c, parent_kinds + [k])
-
-    visit(tu.cursor, [])
-
-
-# --------------------------------------------------------------------------
 # Drivers
 # --------------------------------------------------------------------------
 
@@ -464,7 +403,7 @@ def load_compile_db(build_dir):
     return db
 
 
-def run_lint(paths, build_dir, engine):
+def run_lint(paths, build_dir):
     db = load_compile_db(build_dir)
     files = gather_files(paths, db)
     if not files:
@@ -481,32 +420,11 @@ def run_lint(paths, build_dir, engine):
             return 2
         diags.extend(lint_text(f, raw))
 
-    used_ast = False
-    if engine in ("auto", "ast") and db:
-        cindex = try_ast_engine(db)
-        if cindex is not None:
-            try:
-                ast_diags = []
-                for entry in db:
-                    if entry["file"].endswith((".cc", ".cpp")):
-                        ast_lint_file(cindex, entry, ast_diags)
-                seen = {(d.path, d.line, d.rule) for d in diags}
-                diags.extend(d for d in ast_diags
-                             if (d.path, d.line, d.rule) not in seen)
-                used_ast = True
-            except Exception as e:  # fall back, never block the build wrongly
-                sys.stderr.write("pier-lint: warning: AST engine failed (%s); "
-                                 "lexical results stand\n" % e)
-        elif engine == "ast":
-            sys.stderr.write("pier-lint: error: --engine=ast requested but "
-                             "the libclang python bindings are missing\n")
-            return 2
-
     for d in sorted(diags, key=lambda d: (d.path, d.line)):
         print(d)
-    print("pier-lint: checked %d files (%s engine): %d diagnostic%s" %
-          (len(files), "lexical+ast" if used_ast else "lexical", len(diags),
-           "" if len(diags) == 1 else "s"), file=sys.stderr)
+    print("pier-lint: checked %d files: %d diagnostic%s" %
+          (len(files), len(diags), "" if len(diags) == 1 else "s"),
+          file=sys.stderr)
     return 1 if diags else 0
 
 
@@ -569,8 +487,6 @@ def main():
                     help="files/dirs to lint (default: src)")
     ap.add_argument("-p", "--build-dir", default=None,
                     help="build dir containing compile_commands.json")
-    ap.add_argument("--engine", choices=("auto", "ast", "lex"),
-                    default="auto")
     ap.add_argument("--selftest", metavar="TESTDATA_DIR",
                     help="run the fixture suite and exit")
     ap.add_argument("--list-rules", action="store_true")
@@ -582,7 +498,7 @@ def main():
         return 0
     if args.selftest:
         return run_selftest(args.selftest)
-    return run_lint(args.paths or ["src"], args.build_dir, args.engine)
+    return run_lint(args.paths or ["src"], args.build_dir)
 
 
 if __name__ == "__main__":
