@@ -4,12 +4,17 @@
 // tuple codec), plus the headline batch-dataflow comparison: the same
 // selection+projection pipeline run by the batch operators (ProcessBatch)
 // vs a tuple-at-a-time reference loop that evaluates the same expressions on
-// heap Tuples.
+// heap Tuples and hands each row between stages by value, as the removed
+// per-tuple `Consume` operator interface did.
 //
 // Self-contained harness (no external benchmark dependency). Self-checking:
 // both pipelines must produce identical row counts and checksums, and the
-// batch operators must sustain >= 2x the per-tuple loop's single-thread
-// throughput; either violation exits nonzero. PIER_BENCH_JSON=<path> writes
+// batch operators must sustain >= 2x the by-value chain's single-thread
+// throughput; either violation exits nonzero. The bound was set against
+// that chain: a tuple-at-a-time loop without the per-stage copies runs only
+// 1.74-1.86x slower than the batch operators (Release, 4-core VM), so the
+// gate measures batches against the old by-value interface, not against
+// tuple-at-a-time evaluation as such. PIER_BENCH_JSON=<path> writes
 // the deterministic fields (counts, checksums, pass booleans — never
 // timings) for the CI golden diff.
 
@@ -160,7 +165,7 @@ double BenchRoutingIdHash() {
   });
 }
 
-// --- Batch vs per-tuple dataflow ---------------------------------------------
+// --- Batch vs by-value per-tuple chain ---------------------------------------
 
 constexpr size_t kRows = 65536;
 constexpr size_t kBatchRows = 1024;
@@ -218,12 +223,12 @@ ExprPtr ParseOrDie(const char* text) {
   return *e;
 }
 
-/// The tuple-at-a-time reference pipeline: selection (b < 499), projection
-/// (a, src; twice = a * 2) and a counting sink as three stages over heap
-/// Tuples, evaluated through the same Expr trees the operators use. Each
-/// stage takes its row by value, so every hand-off copies the Tuple, as a
-/// per-tuple push interface between operators does; that per-hop copy is
-/// part of the per-row cost batches remove.
+/// The reference pipeline, a model of the removed by-value `Consume`
+/// operator chain: selection (b < 499), projection (a, src; twice = a * 2)
+/// and a counting sink as three stages over heap Tuples, evaluated through
+/// the same Expr trees the operators use. Each stage takes its row by
+/// value, so every hand-off copies the Tuple as that interface did; the
+/// 2x gate counts those copies as part of the per-row cost batches remove.
 PipelineResult RunPerTuple(const std::vector<Tuple>& rows) {
   ExprPtr pred = ParseOrDie("b < 499");
   ExprPtr twice = ParseOrDie("a * 2");
@@ -297,7 +302,7 @@ int Run() {
   MicroRow("tuple codec roundtrip", BenchTupleCodec());
   MicroRow("routing id hash", BenchRoutingIdHash());
 
-  bench::Title("batch vs per-tuple dataflow");
+  bench::Title("batch vs by-value per-tuple chain");
   bench::Note("selection+projection pipeline over " + std::to_string(kRows) +
               " rows; batch rows = " + std::to_string(kBatchRows));
 
@@ -314,12 +319,12 @@ int Run() {
   PipelineResult batch = RunBatchPipeline(batches);
   double speedup = scalar.ns_per_row / batch.ns_per_row;
 
-  std::vector<int> w = {14, 12, 18, 10, 10};
+  std::vector<int> w = {16, 12, 18, 10, 10};
   bench::Row({"path", "rows out", "checksum", "ns/row", "Mrow/s"}, w);
   for (const auto* p : {&scalar, &batch}) {
     char sum[20];
     std::snprintf(sum, sizeof sum, "%016" PRIx64, p->checksum);
-    bench::Row({p == &scalar ? "per-tuple" : "batch",
+    bench::Row({p == &scalar ? "by-value chain" : "batch",
                 std::to_string(p->count), sum, bench::Fmt(p->ns_per_row, 1),
                 bench::Fmt(1e3 / p->ns_per_row, 1)},
                w);
@@ -329,7 +334,7 @@ int Run() {
   int failures = 0;
   if (scalar.count != batch.count || scalar.checksum != batch.checksum) {
     std::fprintf(stderr,
-                 "FAIL: batch and per-tuple paths disagree (%llu/%016" PRIx64
+                 "FAIL: batch and by-value chain disagree (%llu/%016" PRIx64
                  " vs %llu/%016" PRIx64 ")\n",
                  static_cast<unsigned long long>(scalar.count), scalar.checksum,
                  static_cast<unsigned long long>(batch.count), batch.checksum);
@@ -337,13 +342,13 @@ int Run() {
   }
   if (speedup < 2.0) {
     std::fprintf(stderr,
-                 "FAIL: batch path speedup %.2fx < 2x over the per-tuple path "
+                 "FAIL: batch path speedup %.2fx < 2x over the by-value chain "
                  "(%.1f vs %.1f ns/row)\n",
                  speedup, batch.ns_per_row, scalar.ns_per_row);
     failures++;
   }
   if (failures == 0)
-    bench::Note("ok: identical answers, batch path >= 2x per-tuple path");
+    bench::Note("ok: identical answers, batch path >= 2x by-value chain");
 
   if (const char* path = std::getenv("PIER_BENCH_JSON")) {
     std::FILE* f = std::fopen(path, "w");

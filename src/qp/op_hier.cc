@@ -274,17 +274,11 @@ struct JoinRecord {
   std::vector<uint32_t> path;  // annotating node hosts
   Tuple tuple;
 
-  /// Everything before the tuple: the side and the annotation path.
-  static void EncodeHeader(uint8_t side, const std::vector<uint32_t>& path,
-                           WireWriter* w) {
-    w->PutU8(side);
-    w->PutVarint(path.size());
-    for (uint32_t h : path) w->PutU32(h);
-  }
-
   std::string Encode() const {
     WireWriter w;
-    EncodeHeader(side, path, &w);
+    w.PutU8(side);
+    w.PutVarint(path.size());
+    for (uint32_t h : path) w.PutU32(h);
     tuple.EncodeTo(&w);
     return std::move(w).data();
   }
@@ -396,14 +390,13 @@ class HierJoinOp : public Operator {
     const int key_idx = in.Index(port == 0 ? l_key_ : r_key_);
     if (key_idx < 0) return;  // best-effort discard
     for (size_t r = 0; r < n; ++r) {
-      // A fresh record has an empty path: encode it straight off the row.
-      WireWriter w;
-      JoinRecord::EncodeHeader(static_cast<uint8_t>(port), {}, &w);
-      batch.EncodeRowTo(r, &w);
+      JoinRecord rec;
+      rec.side = static_cast<uint8_t>(port);
+      rec.tuple = batch.RowTuple(r);
       cx_->dht->Send(
           ns_,
           batch.ValueAt(r, static_cast<size_t>(key_idx)).CanonicalString(),
-          cx_->NextSuffix(), std::move(w).data(), cx_->query_lifetime);
+          cx_->NextSuffix(), rec.Encode(), cx_->query_lifetime);
     }
   }
 

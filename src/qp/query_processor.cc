@@ -166,11 +166,25 @@ QueryProcessor::QueryProcessor(Vri* vri, Dht* dht, Options options)
 
   dht_->router()->RegisterDirectType(
       kMsgAnswer, [this](const NetAddress& from, std::string_view body) {
-        HandleAnswerMsg(from, body, /*batch_frame=*/false);
+        WireReader r(body);
+        uint64_t qid;
+        if (!r.GetU64(&qid).ok()) return;
+        Result<Tuple> t = Tuple::DecodeFrom(&r);
+        if (!t.ok()) return;
+        auto row = [&t](size_t) { return std::move(t).value(); };
+        DeliverAnswerRows(from, qid, &r, 1, row);
       });
   dht_->router()->RegisterDirectType(
       kMsgAnswerBatch, [this](const NetAddress& from, std::string_view body) {
-        HandleAnswerMsg(from, body, /*batch_frame=*/true);
+        WireReader r(body);
+        uint64_t qid;
+        if (!r.GetU64(&qid).ok()) return;
+        // Zero-copy decode: string cells alias `body` for the duration of
+        // this handler; each row is materialized as it is delivered.
+        Result<TupleBatch> batch = TupleBatch::DecodeFrom(&r, body);
+        if (!batch.ok()) return;
+        auto row = [&batch](size_t i) { return batch->RowTuple(i); };
+        DeliverAnswerRows(from, qid, &r, batch->num_rows(), row);
       });
 }
 
@@ -811,26 +825,9 @@ void QueryProcessor::ForwardAnswer(uint64_t query_id, const NetAddress& proxy,
       });
 }
 
-void QueryProcessor::HandleAnswerMsg(const NetAddress& from,
-                                     std::string_view body, bool batch_frame) {
-  WireReader r(body);
-  uint64_t qid;
-  if (!r.GetU64(&qid).ok()) return;
-  std::vector<Tuple> rows;
-  if (batch_frame) {
-    // Zero-copy decode: string cells alias `body` for the duration of this
-    // handler; every row is materialized before the frame goes away.
-    Result<TupleBatch> batch = TupleBatch::DecodeFrom(&r, body);
-    if (!batch.ok()) return;
-    rows.reserve(batch->num_rows());
-    for (size_t row = 0; row < batch->num_rows(); ++row) {
-      rows.push_back(batch->RowTuple(row));
-    }
-  } else {
-    Result<Tuple> t = Tuple::DecodeFrom(&r);
-    if (!t.ok()) return;
-    rows.push_back(std::move(t).value());
-  }
+void QueryProcessor::DeliverAnswerRows(
+    const NetAddress& from, uint64_t qid, WireReader* r, size_t num_rows,
+    const std::function<Tuple(size_t)>& row) {
   auto it = clients_.find(qid);
   if (it == clients_.end()) {
     // An answer for a query this node does not proxy: either a late answer
@@ -844,12 +841,12 @@ void QueryProcessor::HandleAnswerMsg(const NetAddress& from,
   // snapshot that REPLACES this sender's previous one. Senders without
   // metering ship no block; a truncated block is dropped whole.
   std::map<QueryMeter::Key, OpCost> snapshot;
-  if (DecodeCostBlock(&r, &snapshot))
+  if (DecodeCostBlock(r, &snapshot))
     it->second.remote_costs[from] = std::move(snapshot);
-  for (const Tuple& t : rows) {
+  for (size_t i = 0; i < num_rows; ++i) {
     auto cit = clients_.find(qid);  // the client may Cancel() mid-frame
     if (cit == clients_.end()) return;
-    DeliverAnswer(&cit->second, t);
+    DeliverAnswer(&cit->second, row(i));
   }
 }
 

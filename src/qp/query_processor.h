@@ -39,6 +39,7 @@
 #ifndef PIER_QP_QUERY_PROCESSOR_H_
 #define PIER_QP_QUERY_PROCESSOR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -404,10 +405,13 @@ class QueryProcessor {
   void BindQueryMetrics(ClientQuery* client, uint64_t query_id);
   void Disseminate(const QueryPlan& plan);
   void HandleDisseminationBlob(std::string_view blob);
-  /// Deliver a kMsgAnswer (one tuple) or kMsgAnswerBatch frame to the
-  /// query's client, and keep the sender's piggybacked cost snapshot.
-  void HandleAnswerMsg(const NetAddress& from, std::string_view body,
-                       bool batch_frame);
+  /// The tail shared by the kMsgAnswer (one tuple) and kMsgAnswerBatch
+  /// handlers, once the frame's rows are decoded: route a stray answer to
+  /// the executor, keep the sender's piggybacked cost snapshot (read from
+  /// `r`), then deliver `row(0)` .. `row(num_rows - 1)` to the client.
+  void DeliverAnswerRows(const NetAddress& from, uint64_t qid, WireReader* r,
+                         size_t num_rows,
+                         const std::function<Tuple(size_t)>& row);
   /// Send answer rows to the proxy: one kMsgAnswerBatch frame per batch,
   /// or the kMsgAnswer frame for a 1-row batch; direct delivery when this
   /// node is the proxy.
