@@ -107,6 +107,21 @@ void Run() {
   bench::Note("median latency: PIER(rare)=" + bench::Ms(p_rare.Percentile(50)) +
               "ms  Gnutella(all)=" + bench::Ms(g_all.Percentile(50)) +
               "ms  Gnutella(rare)=" + bench::Ms(g_rare.Percentile(50)) + "ms");
+  // Index entries whose publish never reached an owner: the searches above
+  // ran without them.
+  uint64_t puts = 0, lost = 0;
+  for (const CorpusFile& f : corpus.files()) {
+    for (uint32_t h : f.hosts) {
+      if (h < kNodes) puts += f.keywords.size();
+    }
+  }
+  for (uint32_t i = 0; i < kNodes; ++i)
+    lost += pier.client(i)->publish_failures().dropped_items;
+  bench::Note("fidx index entries lost at publish: " + std::to_string(lost) +
+              " of " + std::to_string(puts) + " (" +
+              bench::Fmt(puts == 0 ? 0.0 : 100.0 * static_cast<double>(lost) /
+                                               static_cast<double>(puts)) +
+              "%)");
   bench::Note(
       "expected shape (paper): PIER answers nearly all rare queries; Gnutella "
       "answers most popular queries fast but misses a large fraction of the "

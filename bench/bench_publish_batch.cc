@@ -5,7 +5,10 @@
 // serializes messages, so per-message overhead — headers, acks, congestion-
 // window round trips — is paid in both bytes and wall-clock). The sweep
 // compares per-tuple Publish (batch=1) against client auto-batching at 8 and
-// 64 tuples, plus batch=64 with router send-coalescing on top.
+// 64 tuples, plus batch=64 with router send-coalescing on top. With batching
+// off, each Publish ships as a one-tuple DHT batch: its primary and
+// secondary-index entries share one lookup round and, when one node owns
+// both keys, one kMsgPutBatch frame (the batch=1 row's batched_puts).
 //
 // SELF-CHECKING: the run FAILS (exit 1) unless batch=64 beats batch=1 on
 // BOTH total bytes and ingest wall-clock. A regression that quietly unbatches

@@ -139,7 +139,6 @@ class Catalog {
   /// (this replaces hand-maintained SqlOptions::tables maps).
   std::map<std::string, TableHint> TableHints() const;
 
-  std::vector<std::string> TableNames() const;
   size_t size() const { return tables_.size(); }
 
  private:

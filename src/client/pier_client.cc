@@ -293,27 +293,12 @@ Status PierClient::Publish(const std::string& table, const Tuple& t,
     return Status::NotFound("table '" + table + "' is not in the catalog");
   PIER_RETURN_IF_ERROR(CheckReplicas(*spec));
   if (lifetime <= 0) lifetime = spec->default_lifetime;
-
-  // Publish-time statistics accrual (sys.stats rows themselves excepted),
-  // with periodic republication into the sys.stats system table.
-  auto observe = [&](size_t bytes) {
-    if (table == kSysStatsTable) return;
-    stats_->Observe(table, t, spec->partition_attrs, bytes,
-                    qp_->vri()->Now());
-    if (stats_->TakePublishDue(table, kStatsPublishEvery))
-      PublishSysStatsRow(table);
-  };
-
-  if (spec->local_only) {
-    observe(qp_->StoreLocal(table, t, lifetime));
-    return Status::Ok();
-  }
-
-  PIER_RETURN_IF_ERROR(ValidateAgainstSpec(*spec, t));
+  if (!spec->local_only) PIER_RETURN_IF_ERROR(ValidateAgainstSpec(*spec, t));
 
   // Auto-batching: buffer the (already validated) tuple; the size trigger,
-  // the delay timer, Flush() or client teardown ships it.
-  if (publish_batch_max_ > 1) {
+  // the delay timer, Flush() or client teardown ships it. Local-only tuples
+  // are stored at once.
+  if (publish_batch_max_ > 1 && !spec->local_only) {
     PublishBuffer& buf = publish_buffers_[table];
     buf.tuples.push_back(t);
     buf.lifetimes.push_back(lifetime);
@@ -333,18 +318,7 @@ Status PierClient::Publish(const std::string& table, const Tuple& t,
     }
     return Status::Ok();
   }
-
-  size_t bytes = qp_->Publish(table, spec->partition_attrs, t, lifetime,
-                              spec->replicas);
-  for (const SecondaryIndexSpec& idx : spec->secondary_indexes) {
-    qp_->PublishSecondary(idx.table, idx.attr, table, spec->partition_attrs, t,
-                          lifetime, spec->replicas);
-  }
-  for (const RangeIndexSpec& idx : spec->range_indexes) {
-    qp_->PublishRange(idx.table, idx.attr, t, idx.key_bits, lifetime);
-  }
-  observe(bytes);
-  return Status::Ok();
+  return ShipBatch(*spec, &t, &lifetime, 1);
 }
 
 Status PierClient::PublishBatch(const std::string& table,
@@ -369,7 +343,7 @@ Status PierClient::PublishBatch(const std::string& table,
   PIER_RETURN_IF_ERROR(FlushTable(table));
 
   std::vector<TimeUs> lifetimes(tuples.size(), lifetime);
-  return ShipBatch(*spec, tuples, lifetimes);
+  return ShipBatch(*spec, tuples.data(), lifetimes.data(), tuples.size());
 }
 
 void PierClient::SetPublishBatching(size_t max_tuples, TimeUs max_delay) {
@@ -410,18 +384,18 @@ Status PierClient::FlushTable(const std::string& table) {
   const TableSpec* spec = catalog_->Find(table);
   if (spec == nullptr)
     return Status::NotFound("table '" + table + "' left the catalog");
-  return ShipBatch(*spec, buf.tuples, buf.lifetimes);
+  return ShipBatch(*spec, buf.tuples.data(), buf.lifetimes.data(),
+                   buf.tuples.size());
 }
 
-Status PierClient::ShipBatch(const TableSpec& spec,
-                             const std::vector<Tuple>& tuples,
-                             const std::vector<TimeUs>& lifetimes) {
+Status PierClient::ShipBatch(const TableSpec& spec, const Tuple* tuples,
+                             const TimeUs* lifetimes, size_t n) {
   // Per-tuple REAL serialized sizes (primary encoding): the statistics
   // registry samples these instead of a batch-uniform mean.
   std::vector<size_t> row_bytes;
-  row_bytes.reserve(tuples.size());
+  row_bytes.reserve(n);
   if (spec.local_only) {
-    for (size_t i = 0; i < tuples.size(); ++i)
+    for (size_t i = 0; i < n; ++i)
       row_bytes.push_back(qp_->StoreLocal(spec.name, tuples[i], lifetimes[i]));
   } else {
     // The whole batch's index fan-out — primary rows AND secondary entries
@@ -438,8 +412,9 @@ Status PierClient::ShipBatch(const TableSpec& spec,
       std::vector<size_t> src;  // built row -> source tuple index
       size_t cursor = 0;
     };
-    std::vector<std::string> pkeys(tuples.size());
+    std::vector<std::string> pkeys;
     std::vector<SecBatch> secs;
+    if (!spec.secondary_indexes.empty()) pkeys.resize(n);
     secs.reserve(spec.secondary_indexes.size());
     for (const SecondaryIndexSpec& idx : spec.secondary_indexes) {
       auto schema = std::make_shared<BatchSchema>();
@@ -448,7 +423,7 @@ Status PierClient::ShipBatch(const TableSpec& spec,
       TupleBatchBuilder b(std::move(schema));
       SecBatch sec;
       sec.idx = &idx;
-      for (size_t i = 0; i < tuples.size(); ++i) {
+      for (size_t i = 0; i < n; ++i) {
         const Value* v = tuples[i].Get(idx.attr);
         if (v == nullptr) continue;  // nothing to index (sparse)
         if (pkeys[i].empty())
@@ -462,13 +437,12 @@ Status PierClient::ShipBatch(const TableSpec& spec,
       secs.push_back(std::move(sec));
     }
     std::vector<DhtPutItem> items;
-    items.reserve(tuples.size() * (1 + spec.secondary_indexes.size()));
-    for (size_t i = 0; i < tuples.size(); ++i) {
+    items.reserve(n * (1 + spec.secondary_indexes.size()));
+    for (size_t i = 0; i < n; ++i) {
       row_bytes.push_back(qp_->MakePublishItem(spec.name, spec.partition_attrs,
                                                tuples[i], lifetimes[i], &items,
                                                spec.replicas));
-      // Suffixes mint in the same primary-then-secondaries per-tuple order
-      // as the scalar path, so object names stay stable across the two.
+      // Suffixes mint primary-then-secondaries per tuple.
       for (SecBatch& sec : secs) {
         if (sec.cursor >= sec.src.size() || sec.src[sec.cursor] != i) continue;
         size_t r = sec.cursor++;
@@ -477,7 +451,7 @@ Status PierClient::ShipBatch(const TableSpec& spec,
             sec.rows.EncodeRow(r), lifetimes[i], &items, spec.replicas);
       }
     }
-    qp_->PublishBatch(
+    qp_->dht()->PutBatch(
         std::move(items),
         [this, table = spec.name](const Status& first,
                                   std::vector<Dht::PutGroupStatus> groups) {
@@ -502,7 +476,7 @@ Status PierClient::ShipBatch(const TableSpec& spec,
         });
     // PHT trie inserts are multi-step protocols; they stay per tuple.
     for (const RangeIndexSpec& idx : spec.range_indexes) {
-      for (size_t i = 0; i < tuples.size(); ++i)
+      for (size_t i = 0; i < n; ++i)
         qp_->PublishRange(idx.table, idx.attr, tuples[i], idx.key_bits,
                           lifetimes[i]);
     }
@@ -510,11 +484,8 @@ Status PierClient::ShipBatch(const TableSpec& spec,
   // ONE statistics update for the whole batch, sampling each tuple's real
   // serialized size (not total/n spread uniformly).
   if (spec.name != kSysStatsTable) {
-    std::vector<const Tuple*> ptrs;
-    ptrs.reserve(tuples.size());
-    for (const Tuple& t : tuples) ptrs.push_back(&t);
-    stats_->ObserveBatch(spec.name, ptrs, spec.partition_attrs, row_bytes,
-                         qp_->vri()->Now());
+    stats_->ObserveBatch(spec.name, tuples, n, spec.partition_attrs,
+                         row_bytes, qp_->vri()->Now());
     if (stats_->TakePublishDue(spec.name, kStatsPublishEvery))
       PublishSysStatsRow(spec.name);
   }
@@ -524,7 +495,14 @@ Status PierClient::ShipBatch(const TableSpec& spec,
 void PierClient::PublishSysStatsRow(const std::string& table) {
   Tuple row = stats_->ToSysTuple(table);
   if (row.num_columns() == 0) return;  // nothing observed locally
-  qp_->Publish(kSysStatsTable, {"table"}, row);
+  PutSystemRow(kSysStatsTable, "table", row, 0);
+}
+
+void PierClient::PutSystemRow(const std::string& table, const std::string& key,
+                              const Tuple& row, TimeUs lifetime) {
+  std::vector<DhtPutItem> items;
+  qp_->MakePublishItem(table, {key}, row, lifetime, &items);
+  qp_->dht()->PutBatch(std::move(items));
 }
 
 Status PierClient::PublishStats() {
@@ -659,7 +637,7 @@ Status PierClient::PublishMetrics(std::vector<MetricSample>* out,
     row.Append("count", Value::Int64(static_cast<int64_t>(s.count)));
     row.Append("sum", Value::Double(s.sum));
     row.Append("updated_us", Value::Int64(static_cast<int64_t>(now)));
-    qp_->Publish(kSysMetricsTable, {"metric"}, row, lifetime);
+    PutSystemRow(kSysMetricsTable, "metric", row, lifetime);
   }
   if (out != nullptr) *out = std::move(snapshot);
   return Status::Ok();

@@ -252,13 +252,17 @@ class PierClient {
   /// fan-out: local-only tables go to this node's soft-state store; DHT
   /// tables go to the primary index, every declared secondary index, and
   /// every declared PHT range index. lifetime 0 uses the spec's default.
+  /// With auto-batching off, the tuple ships at once as a one-tuple batch:
+  /// its primary and secondary-index entries ride one Dht::PutBatch, and
+  /// entries that never reach an owner are counted in publish_failures(),
+  /// exactly as for PublishBatch.
   Status Publish(const std::string& table, const Tuple& t, TimeUs lifetime = 0);
 
   // --- Batched publishing ------------------------------------------------------
   //
   // Ingest-heavy workloads pay per-tuple network overhead on Publish: every
-  // tuple is its own DHT put per declared index (lookup + wire message +
-  // ack). Batching amortizes it — a batch's whole index fan-out (primary
+  // tuple is its own DHT batch (a lookup per index key, a wire message and
+  // ack per owner). Batching amortizes it — a batch's whole index fan-out (primary
   // rows and secondary entries alike) is grouped by responsible node and
   // each destination receives ONE wire message; the statistics registry
   // updates once per batch. Two ways in:
@@ -306,10 +310,10 @@ class PierClient {
   /// Publish pacing: one sys.stats row per table per this many tuples.
   static constexpr uint64_t kStatsPublishEvery = 64;
 
-  /// Partial-failure accounting for the batched publish path. A batch whose
-  /// destinations PARTIALLY fail (one owner dead, the rest fine) used to
-  /// collapse into one error; Dht::PutBatch now reports per-group status,
-  /// and every index entry that never reached an owner is counted here.
+  /// Partial-failure accounting for every DHT publish: each Publish (a batch
+  /// of one) and PublishBatch ships as one Dht::PutBatch, whose per-group
+  /// status names exactly the index entries that never reached an owner
+  /// (one owner dead, the rest fine). They are counted here.
   struct PublishFailures {
     uint64_t failed_batches = 0;  // batches with at least one failed group
     uint64_t dropped_items = 0;   // index entries (tuples/secondaries) lost
@@ -451,9 +455,10 @@ class PierClient {
   /// Reject a spec whose replication factor exceeds what the overlay's
   /// routing protocol can place (chord: its successor-list length).
   Status CheckReplicas(const TableSpec& spec) const;
-  /// Ship one batch (validated tuples) through the whole index fan-out.
-  Status ShipBatch(const TableSpec& spec, const std::vector<Tuple>& tuples,
-                   const std::vector<TimeUs>& lifetimes);
+  /// Ship `n` validated tuples, tuple i with lifetimes[i], through the
+  /// whole index fan-out as one batch (Publish ships a batch of one).
+  Status ShipBatch(const TableSpec& spec, const Tuple* tuples,
+                   const TimeUs* lifetimes, size_t n);
   Status FlushTable(const std::string& table);
   /// Compile `sql` with a pinned query id (0 mints a fresh one) — replan
   /// recompiles must reuse the running query's id so rendezvous namespaces
@@ -466,6 +471,11 @@ class PierClient {
   void ReplanTick(uint64_t query_id);
   /// Publish one sys.stats row for `table` from the registry's local view.
   void PublishSysStatsRow(const std::string& table);
+  /// Put one system-table row (sys.stats, sys.metrics) keyed by `key`, as a
+  /// one-item DHT batch. System tables are not in the catalog, so no index
+  /// fan-out, statistics or failure accounting applies.
+  void PutSystemRow(const std::string& table, const std::string& key,
+                    const Tuple& row, TimeUs lifetime);
 
   QueryProcessor* qp_;
   Catalog* catalog_;

@@ -86,56 +86,35 @@ void StatsRegistry::AccrueScalars(Entry* e, uint64_t tuples, size_t bytes,
   e->last_at = std::max(e->last_at, now);
 }
 
-void StatsRegistry::AccrueKey(Entry* e, const Tuple& t,
-                              const std::vector<std::string>& key_attrs) {
-  if (key_attrs.empty()) {
-    e->sketch.AddHash(Mix64(t.Hash()));
-  } else {
-    e->sketch.Add(t.PartitionKey(key_attrs));
-  }
-}
-
-void StatsRegistry::Observe(const std::string& table, const Tuple& t,
+void StatsRegistry::Observe(const std::string& table, const TupleBatch& batch,
+                            size_t row,
                             const std::vector<std::string>& key_attrs,
                             size_t bytes, TimeUs now) {
   Entry& e = local_[table];
   AccrueScalars(&e, 1, bytes, now);
-  AccrueKey(&e, t, key_attrs);
+  if (key_attrs.empty()) {
+    e.sketch.AddHash(Mix64(batch.RowHash(row)));
+  } else {
+    e.sketch.Add(batch.RowPartitionKey(row, key_attrs));
+  }
 }
 
-void StatsRegistry::ObserveBatch(const std::string& table,
-                                 const std::vector<const Tuple*>& ts,
+void StatsRegistry::ObserveBatch(const std::string& table, const Tuple* ts,
+                                 size_t n,
                                  const std::vector<std::string>& key_attrs,
                                  const std::vector<size_t>& row_bytes,
                                  TimeUs now) {
-  if (ts.empty()) return;
+  if (n == 0) return;
   Entry& e = local_[table];
   // Per-tuple accrual with each row's REAL serialized size: the byte sum
   // (and thus mean-bytes) reflects the actual encodings, never total/n
   // smeared across the batch.
-  for (size_t i = 0; i < ts.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     AccrueScalars(&e, 1, i < row_bytes.size() ? row_bytes[i] : 0, now);
-    AccrueKey(&e, *ts[i], key_attrs);
-  }
-}
-
-void StatsRegistry::ObserveBatch(const std::string& table,
-                                 const TupleBatch& batch,
-                                 const std::vector<std::string>& key_attrs,
-                                 TimeUs now) {
-  const size_t n = batch.num_rows();
-  if (n == 0) return;
-  Entry& e = local_[table];
-  for (size_t r = 0; r < n; ++r) {
-    // Measure the row's actual wire encoding from the batch cells — no
-    // caller-side size estimate and no Tuple materialization.
-    WireWriter w;
-    batch.EncodeRowTo(r, &w);
-    AccrueScalars(&e, 1, w.size(), now);
     if (key_attrs.empty()) {
-      e.sketch.AddHash(Mix64(batch.RowHash(r)));
+      e.sketch.AddHash(Mix64(ts[i].Hash()));
     } else {
-      e.sketch.Add(batch.RowPartitionKey(r, key_attrs));
+      e.sketch.Add(ts[i].PartitionKey(key_attrs));
     }
   }
 }

@@ -77,13 +77,13 @@ struct TableStats {
   bool valid() const { return tuples > 0; }
 };
 
-/// Per-node statistics accumulator. `Observe` records locally published
-/// tuples; `Fold` ingests sys.stats rows published by OTHER registries
-/// (keyed by their origin id; the newest row per origin wins); `Snapshot`
-/// merges local accruals with every folded remote entry. One registry is
-/// one origin — clients sharing a registry (the simulation does) publish
-/// its rows under ONE origin id, so folders never double count. A caller
-/// must still not fold rows derived from its own registry.
+/// Per-node statistics accumulator. `Observe` and `ObserveBatch` record
+/// locally published tuples; `Fold` ingests sys.stats rows published by
+/// OTHER registries (keyed by their origin id; the newest row per origin
+/// wins); `Snapshot` merges local accruals with every folded remote entry.
+/// One registry is one origin — clients sharing a registry (the simulation
+/// does) publish its rows under ONE origin id, so folders never double
+/// count. A caller must still not fold rows derived from its own registry.
 class StatsRegistry {
  public:
   /// The id stamped into this registry's sys.stats rows. Set once by
@@ -92,29 +92,24 @@ class StatsRegistry {
   void set_origin(uint64_t origin) { origin_ = origin; }
   uint64_t origin() const { return origin_; }
 
-  /// Record one published tuple of `bytes` encoded size. `key_attrs` is the
-  /// table's primary partitioning attribute list (the distinct sketch's
-  /// input); when empty (local-only tables) the whole-tuple hash feeds the
-  /// sketch instead.
-  void Observe(const std::string& table, const Tuple& t,
+  /// Record row `row` of `batch`, one published tuple of `bytes` encoded
+  /// size. `key_attrs` is the table's primary partitioning attribute list
+  /// (the distinct sketch's input); when empty (local-only tables) the
+  /// whole-row hash feeds the sketch instead. No Tuple is materialized.
+  void Observe(const std::string& table, const TupleBatch& batch, size_t row,
                const std::vector<std::string>& key_attrs, size_t bytes,
                TimeUs now);
 
-  /// Record a whole published batch in one registry update (the sketch
-  /// still sees every key — a distinct estimate cannot be amortized).
-  /// `row_bytes[i]` is tuple i's REAL serialized size: sampling actual
-  /// per-tuple bytes (not a batch-uniform mean) keeps sys.stats mean-bytes
-  /// honest for the optimizer even when only a prefix of a batch is later
-  /// re-observed. `ts` holds borrowed pointers, none kept.
-  void ObserveBatch(const std::string& table, const std::vector<const Tuple*>& ts,
+  /// Record the `n` published Tuples at `ts` in one registry update (the
+  /// sketch still sees every key — a distinct estimate cannot be
+  /// amortized). `row_bytes[i]` is tuple i's REAL serialized size: sampling
+  /// actual per-tuple bytes (not a batch-uniform mean) keeps sys.stats
+  /// mean-bytes honest for the optimizer. A Tuple and the batch row holding
+  /// the same cells feed the sketch the same key (TupleBatch::RowPartitionKey
+  /// and RowHash match their Tuple counterparts).
+  void ObserveBatch(const std::string& table, const Tuple* ts, size_t n,
                     const std::vector<std::string>& key_attrs,
                     const std::vector<size_t>& row_bytes, TimeUs now);
-
-  /// TupleBatch flavor for the batch dataflow path: per-row serialized
-  /// sizes are measured from the batch's own cells (EncodeRow), so no
-  /// caller-side approximation — and no Tuple materialization — is needed.
-  void ObserveBatch(const std::string& table, const TupleBatch& batch,
-                    const std::vector<std::string>& key_attrs, TimeUs now);
 
   bool Has(const std::string& table) const;
   TableStats Snapshot(const std::string& table) const;
@@ -166,12 +161,9 @@ class StatsRegistry {
 
   static void Accumulate(const Entry& e, TableStats* out, KmvSketch* sketch,
                          TimeUs* first, TimeUs* last);
-  /// The shared accrual pieces Observe and ObserveBatch are composed from,
-  /// so batched and unbatched publishes can never drift apart.
+  /// The scalar accrual Observe and ObserveBatch share.
   static void AccrueScalars(Entry* e, uint64_t tuples, size_t bytes,
                             TimeUs now);
-  static void AccrueKey(Entry* e, const Tuple& t,
-                        const std::vector<std::string>& key_attrs);
 
   uint64_t origin_ = 0;
   std::map<std::string, Entry> local_;

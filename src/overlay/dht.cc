@@ -165,95 +165,13 @@ int Dht::EffectiveReplicas(int replicas) const {
 void Dht::Put(const std::string& ns, const std::string& key, const std::string& suffix,
               std::string&& value, TimeUs lifetime, DoneCallback done,
               int replicas) {
-  stats_.puts++;
-  ObjectName name{ns, key, suffix};
-  int k = EffectiveReplicas(replicas);
-  if (k > 1) {
-    PutReplicated(std::move(name), std::move(value), lifetime, k,
-                  std::move(done));
-    return;
-  }
-  // The complete kMsgPut frame is built exactly once, here; the lookup
-  // callback moves it straight down to the transport (no re-framing copy).
-  WireWriter w = OverlayRouter::FrameMessage(kMsgPut);
-  EncodeObjectTo(&w, name, lifetime, value);
-  PutToOwner(name.routing_id(), std::move(w).data(), std::move(done), true);
-}
-
-void Dht::PutToOwner(Id target, std::string frame, DoneCallback done,
-                     bool may_refresh) {
-  router_->Lookup(target, [this, target, frame = std::move(frame),
-                           done = std::move(done), may_refresh](
-                              const Result<NetAddress>& owner, Id,
-                              bool cached) mutable {
-    if (!owner.ok()) {
-      if (done) done(owner.status());
-      return;
-    }
-    // Only a put to a cached owner can be retried; it keeps the unmarked
-    // frame for that, and the transport takes a marked copy.
-    bool retry = cached && may_refresh;
-    std::string retry_frame = retry ? frame : std::string();
-    if (cached) frame.push_back(static_cast<char>(kFromCache));
-    router_->SendFramed(
-        owner.value(), std::move(frame),
-        [this, target, retry, stale = owner.value(),
-         retry_frame = std::move(retry_frame),
-         done = std::move(done)](const Status& s) mutable {
-          if (s.ok() || !retry) {
-            if (done) done(s);
-            return;
-          }
-          CachedOwnerUnreachable(stale);
-          PutToOwner(target, std::move(retry_frame), std::move(done), false);
-        });
-  });
-}
-
-void Dht::PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
-                        int replicas, DoneCallback done) {
-  Id target = name.routing_id();
-  TimeUs remaining = EffectiveLifetime(lifetime);
-  router_->LookupEx(
-      target, static_cast<size_t>(replicas - 1),
-      [this, name = std::move(name), value = std::move(value), remaining,
-       replicas, done = std::move(done)](
-          const Result<NetAddress>& owner, Id owner_id,
-          std::vector<NetAddress> succs, bool) mutable {
-        if (!owner.ok()) {
-          if (done) done(owner.status());
-          return;
-        }
-        uint8_t k = static_cast<uint8_t>(replicas);
-        // Primary copy at the owner: index 0, fires newData there exactly
-        // like a plain put, and records the desired factor for repair.
-        WireWriter w = ReplicationManager::FrameReplicate(
-            0, ReplicationManager::Origin::kWrite, owner_id, 1);
-        ReplicationManager::EncodeReplicaObject(&w, name, remaining, 0, k,
-                                                value);
-        router_->SendFramed(owner.value(), std::move(w).data(),
-                            [done = std::move(done)](const Status& s) {
-                              if (done) done(s);
-                            });
-        // Replica copies at the owner's first k-1 successors (best-effort;
-        // the repair tick heals whatever these miss).
-        uint8_t index = 1;
-        for (const NetAddress& succ : succs) {
-          if (index >= k) break;
-          if (succ == owner.value() || succ.IsNull()) continue;
-          WireWriter rw = ReplicationManager::FrameReplicate(
-              index, ReplicationManager::Origin::kWrite, owner_id, 1);
-          ReplicationManager::EncodeReplicaObject(&rw, name, remaining, 0, k,
-                                                  value);
-          router_->SendFramed(succ, std::move(rw).data(), nullptr);
-          repl_->NoteReplicaCopiesSent(1);
-          index++;
-        }
-      });
+  std::vector<DhtPutItem> items(1);
+  items[0] = DhtPutItem{ns, key, suffix, std::move(value), lifetime, replicas};
+  PutBatch(std::move(items), std::move(done));
 }
 
 void Dht::PutBatch(std::vector<DhtPutItem> items, DoneCallback done) {
-  // Legacy single-status form: collapse the per-group report back into the
+  // Single-status form (Put's): collapse the per-group report into the
   // first error.
   BatchCallback wrapped = nullptr;
   if (done) {
@@ -288,12 +206,7 @@ struct Dht::BatchState {
   bool refreshed = false;
   size_t pending_lookups = 0;
   size_t pending_sends = 0;
-  Status first_error = Status::Ok();
   BatchCallback done;
-
-  void NoteError(const Status& s) {
-    if (!s.ok() && first_error.ok()) first_error = s;
-  }
 };
 
 void Dht::PutBatch(std::vector<DhtPutItem> items, BatchCallback done) {
@@ -339,7 +252,6 @@ void Dht::ResolveBatch(const std::shared_ptr<BatchState>& st,
             g.cached = g.cached || cached;
           } else {
             // The whole group is undeliverable: no owner could be resolved.
-            st->NoteError(owner.status());
             st->groups.push_back(
                 PutGroupStatus{NetAddress{}, group, owner.status()});
           }
@@ -387,7 +299,7 @@ void Dht::ShipBatch(const std::shared_ptr<BatchState>& st) {
       if (chunk_k > 1) {
         // Replicated chunk: the owner takes one primary replicate frame
         // (index 0 — stores and fires newData exactly like a put, plus
-        // records each item's desired factor for repair) ...
+        // records each item's desired factor for repair).
         w = ReplicationManager::FrameReplicate(
             0, ReplicationManager::Origin::kWrite, og.owner_id, n);
         for (size_t j = start; j < start + n; ++j) {
@@ -397,42 +309,8 @@ void Dht::ShipBatch(const std::shared_ptr<BatchState>& st) {
               EffectiveLifetime(it.lifetime), 0,
               static_cast<uint8_t>(EffectiveReplicas(it.replicas)), it.value);
         }
-        if (n > 1) {
-          stats_.batched_puts += n;
-          stats_.batch_msgs++;
-        }
-        // ... and each of the owner's first chunk_k-1 successors takes one
-        // replica frame per chunk with the items wide enough to reach it —
-        // replicating per destination group, not per item.
-        for (int rep = 1; rep < chunk_k; ++rep) {
-          size_t si = static_cast<size_t>(rep - 1);
-          if (si >= og.succs.size()) break;
-          const NetAddress& dest = og.succs[si];
-          if (dest.IsNull() || dest == owner) continue;
-          std::vector<size_t> rep_items;
-          for (size_t j = start; j < start + n; ++j) {
-            if (EffectiveReplicas(batch[indices[j]].replicas) > rep)
-              rep_items.push_back(indices[j]);
-          }
-          if (rep_items.empty()) continue;
-          WireWriter rw = ReplicationManager::FrameReplicate(
-              static_cast<uint8_t>(rep), ReplicationManager::Origin::kWrite,
-              og.owner_id, rep_items.size());
-          for (size_t idx : rep_items) {
-            const DhtPutItem& it = batch[idx];
-            ReplicationManager::EncodeReplicaObject(
-                &rw, ObjectNameView{it.ns, it.key, it.suffix},
-                EffectiveLifetime(it.lifetime), 0,
-                static_cast<uint8_t>(EffectiveReplicas(it.replicas)),
-                it.value);
-          }
-          repl_->NoteReplicaCopiesSent(rep_items.size());
-          st->groups[group].replica_frames++;
-          frames.push_back(
-              Frame{group, true, false, dest, std::move(rw).data()});
-        }
       } else if (n == 1) {
-        // Singleton group: the plain put frame, byte-identical to Put().
+        // Singleton group: the plain kMsgPut frame.
         const DhtPutItem& it = batch[indices[start]];
         w = OverlayRouter::FrameMessage(kMsgPut);
         EncodeObjectTo(&w, ObjectNameView{it.ns, it.key, it.suffix},
@@ -445,6 +323,8 @@ void Dht::ShipBatch(const std::shared_ptr<BatchState>& st) {
           EncodeObjectTo(&w, ObjectNameView{it.ns, it.key, it.suffix},
                          it.lifetime, it.value);
         }
+      }
+      if (n > 1) {
         stats_.batched_puts += n;
         stats_.batch_msgs++;
       }
@@ -453,6 +333,34 @@ void Dht::ShipBatch(const std::shared_ptr<BatchState>& st) {
       if (og.cached) w.PutU8(kFromCache);
       frames.push_back(
           Frame{group, false, refreshable, owner, std::move(w).data()});
+      // Each of the owner's first chunk_k-1 successors then takes one
+      // replica frame per chunk with the items wide enough to reach it —
+      // replicating per destination group, not per item.
+      for (int rep = 1; rep < chunk_k; ++rep) {
+        size_t si = static_cast<size_t>(rep - 1);
+        if (si >= og.succs.size()) break;
+        const NetAddress& dest = og.succs[si];
+        if (dest.IsNull() || dest == owner) continue;
+        std::vector<size_t> rep_items;
+        for (size_t j = start; j < start + n; ++j) {
+          if (EffectiveReplicas(batch[indices[j]].replicas) > rep)
+            rep_items.push_back(indices[j]);
+        }
+        if (rep_items.empty()) continue;
+        WireWriter rw = ReplicationManager::FrameReplicate(
+            static_cast<uint8_t>(rep), ReplicationManager::Origin::kWrite,
+            og.owner_id, rep_items.size());
+        for (size_t idx : rep_items) {
+          const DhtPutItem& it = batch[idx];
+          ReplicationManager::EncodeReplicaObject(
+              &rw, ObjectNameView{it.ns, it.key, it.suffix},
+              EffectiveLifetime(it.lifetime), 0,
+              static_cast<uint8_t>(EffectiveReplicas(it.replicas)), it.value);
+        }
+        repl_->NoteReplicaCopiesSent(rep_items.size());
+        st->groups[group].replica_frames++;
+        frames.push_back(Frame{group, true, false, dest, std::move(rw).data()});
+      }
     }
   }
   st->pending_sends = frames.size();
@@ -475,9 +383,8 @@ void Dht::ShipBatch(const std::shared_ptr<BatchState>& st) {
             st->refresh.insert(st->refresh.end(), g.indices.begin(),
                                g.indices.end());
             g.indices.clear();
-          } else {
-            st->NoteError(s);
-            if (!s.ok()) g.status = s;
+          } else if (!s.ok()) {
+            g.status = s;
           }
           st->pending_sends--;
           FinishBatchIfIdle(st);
@@ -504,7 +411,14 @@ void Dht::FinishBatchIfIdle(const std::shared_ptr<BatchState>& st) {
                                 return g.indices.empty();
                               }),
                groups.end());
-  cb(st->first_error, std::move(groups));
+  Status first_error = Status::Ok();
+  for (const PutGroupStatus& g : groups) {
+    if (!g.status.ok()) {
+      first_error = g.status;
+      break;
+    }
+  }
+  cb(first_error, std::move(groups));
 }
 
 void Dht::Send(const std::string& ns, const std::string& key,
@@ -802,16 +716,7 @@ void Dht::HandleRoutedDelivery(const RouteInfo& info, std::string_view payload) 
 
 void Dht::HandlePut(const NetAddress& from, std::string_view body) {
   WireReader r(body);
-  WireObjectView v;
-  if (!DecodeObjectFrom(&r, &v).ok()) return;
-  if (!FromCache(&r) || OwnsOrUnsure(RoutingId(v.ns, v.key))) {
-    StoreFromView(v);
-    return;
-  }
-  // Sent here by a stale cache entry: pass the object on, and correct the
-  // sender's entry for this node.
-  Reroute(v);
-  router_->SendOwnerRange(from);
+  StorePutFrame(from, &r, 1);
 }
 
 void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
@@ -819,6 +724,11 @@ void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
   uint64_t count;
   if (!r.GetVarint(&count).ok()) return;
   if (count > kMaxBatchEntriesPerFrame) return;  // malformed: drop
+  StorePutFrame(from, &r, count);
+}
+
+void Dht::StorePutFrame(const NetAddress& from, WireReader* r,
+                        uint64_t count) {
   // Entries alias the receive buffer; the only copies are the ones the
   // store itself must own. A malformed tail drops the rest of the batch,
   // never what already decoded (best-effort, like every other handler).
@@ -830,13 +740,13 @@ void Dht::HandlePutBatch(const NetAddress& from, std::string_view body) {
   bool complete = true;
   for (uint64_t i = 0; complete && i < count; ++i) {
     WireObjectView v;
-    complete = DecodeObjectFrom(&r, &v).ok();
+    complete = DecodeObjectFrom(r, &v).ok();
     if (complete) views.push_back(v);
   }
   // The cache mark trails the items; only a marked frame is owner-checked.
   // Items this node does not own are passed on after the grouped dispatch,
   // so one that routes back here (no better hop known) is a plain insert.
-  bool from_cache = complete && FromCache(&r);
+  bool from_cache = complete && FromCache(r);
   std::vector<WireObjectView> misplaced;
   size_t stored = 0;
   collecting_batch_ = true;
@@ -860,13 +770,11 @@ void Dht::DispatchBatchNewData(const std::vector<WireObjectView>& stored) {
   if (stored.empty() || subs_.empty()) return;
   // Group by namespace in first-seen order; within a namespace, store order
   // is preserved (objects sharing a (ns, key) arrive in batch order).
-  std::vector<std::string_view> ns_order;
-  for (const WireObjectView& v : stored) {
+  for (size_t i = 0; i < stored.size(); ++i) {
+    std::string_view ns = stored[i].ns;
     bool seen = false;
-    for (std::string_view ns : ns_order) seen = seen || ns == v.ns;
-    if (!seen) ns_order.push_back(v.ns);
-  }
-  for (std::string_view ns : ns_order) {
+    for (size_t j = 0; j < i && !seen; ++j) seen = stored[j].ns == ns;
+    if (seen) continue;
     auto it = subs_by_ns_.find(ns);
     if (it == subs_by_ns_.end()) continue;
     std::vector<uint64_t> tokens = it->second;  // handlers may unsubscribe
@@ -877,7 +785,8 @@ void Dht::DispatchBatchNewData(const std::vector<WireObjectView>& stored) {
     }
     if (!any_batch) continue;
     std::vector<NewDataEvent> events;
-    for (const WireObjectView& v : stored) {
+    for (size_t j = i; j < stored.size(); ++j) {
+      const WireObjectView& v = stored[j];
       if (v.ns != ns) continue;
       events.push_back(
           NewDataEvent{ObjectNameView{v.ns, v.key, v.suffix}, v.value});

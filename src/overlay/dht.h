@@ -102,11 +102,13 @@ class Dht {
            int replicas);
 
   /// put(namespace, key, suffix, object, lifetime): two-phase store at the
-  /// responsible node. The payload is moved down the wire path unchanged —
-  /// pass an rvalue (std::move an owned buffer or hand over a temporary).
-  /// `replicas` > 1 additionally places copies at the owner's first
-  /// replicas-1 successors (0 = the configured default factor). `done`
-  /// reports the OWNER delivery; replica copies are best-effort.
+  /// responsible node, as a one-item PutBatch (the same kMsgPut frame). The
+  /// payload is moved down the wire path unchanged — pass an rvalue (std::move
+  /// an owned buffer or hand over a temporary). `replicas` > 1 additionally
+  /// places copies at the owner's first replicas-1 successors (0 = the
+  /// configured default factor). `done` fires once every copy's delivery
+  /// resolved and reports the OWNER delivery; replica copies are
+  /// best-effort.
   void Put(const std::string& ns, const std::string& key, const std::string& suffix,
            std::string&& value, TimeUs lifetime, DoneCallback done = nullptr,
            int replicas = 0);
@@ -128,8 +130,8 @@ class Dht {
     size_t replica_failures = 0;
     bool degraded() const { return status.ok() && replica_failures > 0; }
   };
-  /// Per-group completion report: `first_error` keeps the old single-status
-  /// contract (Ok iff every group delivered); `groups` says exactly which
+  /// Per-group completion report: `first_error` is the first failed group's
+  /// status (Ok iff every group delivered); `groups` says exactly which
   /// items were dropped and why, so callers can surface partial failures
   /// instead of collapsing them into one error.
   using BatchCallback = std::function<void(const Status& first_error,
@@ -138,10 +140,10 @@ class Dht {
   /// Batched put: the batch is grouped by responsible node (one Lookup per
   /// distinct routing id, one wire message per destination — a multi-object
   /// kMsgPutBatch frame, or a plain kMsgPut when a destination gets exactly
-  /// one object, keeping the unbatched wire format byte-identical). Entry
-  /// order is preserved within each destination, so objects sharing a
-  /// (ns, key) arrive in batch order. `done` (may be null) fires once after
-  /// every group's delivery resolved, with the first error if any failed.
+  /// one object). Entry order is preserved within each destination, so
+  /// objects sharing a (ns, key) arrive in batch order. `done` (may be null)
+  /// fires once after every group's delivery resolved, with the first error
+  /// if any failed.
   void PutBatch(std::vector<DhtPutItem> items, DoneCallback done = nullptr);
 
   /// PutBatch with per-group status: a batch whose destinations PARTIALLY
@@ -193,17 +195,17 @@ class Dht {
   void CancelNewData(uint64_t token);
 
   /// One newly stored object in a batch newData delivery. `name` and
-  /// `value` alias the receive frame (or the stored object for single
-  /// inserts) and are valid only for the duration of the handler call.
+  /// `value` alias the receive frame of a put (or the stored object for
+  /// other inserts) and are valid only for the duration of the handler call.
   struct NewDataEvent {
     ObjectNameView name;
     std::string_view value;
   };
-  /// Batch-capable newData subscription: a multi-object kMsgPutBatch frame
-  /// is delivered as ONE call with every stored object of `ns`, in store
-  /// order, without re-materializing per-object copies. Single-object
-  /// inserts (plain put, Send delivery, local store) arrive as one-element
-  /// batches. Cancel with CancelNewData.
+  /// Batch-capable newData subscription: a put frame is delivered as ONE
+  /// call with every stored object of `ns`, in store order, without
+  /// re-materializing per-object copies (a kMsgPut is a one-element batch).
+  /// Other single-object inserts (Send delivery, replicate frames, local
+  /// store) also arrive as one-element batches. Cancel with CancelNewData.
   using BatchNewDataHandler =
       std::function<void(const std::vector<NewDataEvent>&)>;
   uint64_t OnNewDataBatch(const std::string& ns, BatchNewDataHandler handler);
@@ -324,6 +326,10 @@ class Dht {
 
   void HandlePut(const NetAddress& from, std::string_view body);
   void HandlePutBatch(const NetAddress& from, std::string_view body);
+  /// The receive path both put frames share once their header is read:
+  /// decode `count` objects, store the ones this node should hold, hand them
+  /// to newData, and pass misplaced ones on toward their owner.
+  void StorePutFrame(const NetAddress& from, WireReader* r, uint64_t count);
   void HandleGetReq(const NetAddress& from, std::string_view body);
   void HandleGetResp(const NetAddress& from, std::string_view body);
   void HandleGetReqEx(const NetAddress& from, std::string_view body);
@@ -346,17 +352,11 @@ class Dht {
   /// Resolve a per-call replica count (0 = default) against the configured
   /// factor and the protocol's capacity.
   int EffectiveReplicas(int replicas) const;
-  /// Replicated write path shared by Put and PutBatch's replicated groups.
-  void PutReplicated(ObjectName name, std::string&& value, TimeUs lifetime,
-                     int replicas, DoneCallback done);
-  /// The owner-only put: resolve, then ship the finished kMsgPut frame. A
-  /// cached owner the transport gives up on costs one fresh lookup
-  /// (`may_refresh`), not a failure. A put is resent only then: a second copy
-  /// of a delivered one would fire newData twice.
-  void PutToOwner(Id target, std::string frame, DoneCallback done,
-                  bool may_refresh);
   /// PutBatch's two phases: resolve the owners of `indices`, then ship one
-  /// frame per destination once every lookup answered.
+  /// frame per destination once every lookup answered. A cached owner the
+  /// transport gives up on costs its items one fresh lookup, not a failure;
+  /// a put is resent only then, since a second copy of a delivered one would
+  /// fire newData twice.
   struct BatchState;
   void ResolveBatch(const std::shared_ptr<BatchState>& st,
                     std::vector<size_t> indices);
@@ -426,7 +426,7 @@ class Dht {
   /// Deliver a put-batch's stored objects to batch subscriptions, grouped by
   /// namespace in store order. Views alias the receive frame.
   void DispatchBatchNewData(const std::vector<WireObjectView>& stored);
-  /// True while HandlePutBatch is storing a frame's objects: the insert hook
+  /// True while StorePutFrame is storing a frame's objects: the insert hook
   /// skips batch subscriptions (they get the grouped dispatch afterwards).
   bool collecting_batch_ = false;
 

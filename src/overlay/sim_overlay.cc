@@ -43,20 +43,25 @@ uint32_t SimOverlay::AddNode() {
 }
 
 void SimOverlay::SeedAll() {
+  SeedRoutingState(&harness_, [this](uint32_t i) { return dht(i); });
+}
+
+void SeedRoutingState(SimHarness* harness,
+                      const std::function<Dht*(uint32_t)>& dht_of) {
   // Build the sorted live ring.
   std::vector<ChordProtocol::Peer> ring;
-  for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
-    if (!harness_.IsAlive(i)) continue;
-    Dht* d = dht(i);
+  for (uint32_t i = 0; i < harness->num_nodes(); ++i) {
+    if (!harness->IsAlive(i)) continue;
+    Dht* d = dht_of(i);
     ring.push_back(ChordProtocol::Peer{d->local_id(), d->local_address()});
   }
   std::sort(ring.begin(), ring.end(),
             [](const ChordProtocol::Peer& a, const ChordProtocol::Peer& b) {
               return a.id < b.id;
             });
-  for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
-    if (!harness_.IsAlive(i)) continue;
-    RoutingProtocol* proto = dht(i)->router()->protocol();
+  for (uint32_t i = 0; i < harness->num_nodes(); ++i) {
+    if (!harness->IsAlive(i)) continue;
+    RoutingProtocol* proto = dht_of(i)->router()->protocol();
     if (auto* chord = dynamic_cast<ChordProtocol*>(proto)) {
       chord->SeedRoutingState(ring);
     } else if (auto* prefix = dynamic_cast<PrefixProtocol*>(proto)) {

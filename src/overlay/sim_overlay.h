@@ -9,6 +9,7 @@
 #ifndef PIER_OVERLAY_SIM_OVERLAY_H_
 #define PIER_OVERLAY_SIM_OVERLAY_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -61,6 +62,13 @@ class SimOverlay {
   Options options_;
   SimHarness harness_;
 };
+
+/// Install globally-consistent routing state on every live node of
+/// `harness`, whose node i runs `dht_of(i)`: each learns the sorted ring of
+/// live ids (Chord and Prefix routing alike). SimOverlay and SimPier seed
+/// through this.
+void SeedRoutingState(SimHarness* harness,
+                      const std::function<Dht*(uint32_t)>& dht_of);
 
 }  // namespace pier
 

@@ -124,13 +124,13 @@ class ExecContext {
   /// Ask the executor to stop this query locally (e.g. LIMIT satisfied).
   std::function<void()> request_stop;
 
-  /// Observe a tuple this node publishes into the DHT during operator
-  /// execution (the Put exchange). Feeds the statistics subsystem; the
-  /// installer decides which namespaces matter (per-query rendezvous
-  /// namespaces are normally skipped).
+  /// Observe row `row` of `batch`, a tuple of `bytes` encoded size this node
+  /// publishes into the DHT during operator execution (the Put exchange).
+  /// Feeds the statistics subsystem; the installer decides which namespaces
+  /// matter (per-query rendezvous namespaces are normally skipped).
   std::function<void(const std::string& ns,
-                     const std::vector<std::string>& key_attrs, const Tuple& t,
-                     size_t bytes)>
+                     const std::vector<std::string>& key_attrs,
+                     const TupleBatch& batch, size_t row, size_t bytes)>
       observe_publish;
 
   /// Namespace scoped to this query ("q<id>.<what>"); used for rendezvous

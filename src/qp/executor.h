@@ -78,7 +78,7 @@ class QueryExecutor {
   using PublishObserver =
       std::function<void(const std::string& ns,
                          const std::vector<std::string>& key_attrs,
-                         const Tuple& t, size_t bytes)>;
+                         const TupleBatch& batch, size_t row, size_t bytes)>;
   void set_publish_observer(PublishObserver o) {
     publish_observer_ = std::move(o);
   }

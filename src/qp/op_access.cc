@@ -163,7 +163,7 @@ class PutOp : public Operator {
       const size_t bytes = value.size();
       MeterNet(1, bytes);
       if (cx_->observe_publish) {
-        cx_->observe_publish(ns_, key_attrs_, batch.RowTuple(r), bytes);
+        cx_->observe_publish(ns_, key_attrs_, batch, r, bytes);
       }
       if (use_send_) {
         cx_->dht->Send(ns_, key, suffix, std::move(value), lifetime_);

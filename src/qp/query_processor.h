@@ -94,27 +94,10 @@ class QueryProcessor {
 
   // --- Publishing (primary/secondary indexes, §3.3.3) -------------------------
 
-  /// Publish a tuple into the DHT under `table`, partitioned by `key_attrs`
-  /// (the primary index). lifetime 0 uses the default; `replicas` copies are
-  /// placed (0 = the DHT's configured factor). Returns the stored object's
-  /// encoded size (statistics accrual reuses it).
-  size_t Publish(const std::string& table, const std::vector<std::string>& key_attrs,
-                 const Tuple& t, TimeUs lifetime = 0, int replicas = 0);
-
-  /// Publish a secondary index entry: a (index-key, tupleID-ish) pair — a
-  /// small tuple holding the indexed value and the base tuple's location
-  /// (table + primary key), per §3.3.3.
-  void PublishSecondary(const std::string& index_table,
-                        const std::string& index_attr,
-                        const std::string& base_table,
-                        const std::vector<std::string>& base_key_attrs,
-                        const Tuple& t, TimeUs lifetime = 0, int replicas = 0);
-
-  // --- Batched publishing ------------------------------------------------------
-  // Build-then-ship: the client accumulates every index fan-out of a whole
-  // tuple batch (primary rows AND secondary entries) into one item list,
-  // then PublishBatch ships it as a single DHT batch — one Lookup per
-  // distinct key, one wire message per destination owner.
+  // Build-then-ship: a caller accumulates the index fan-out of one tuple or
+  // of a whole batch (primary rows AND secondary entries) into one item
+  // list, then ships it with Dht::PutBatch — one Lookup per distinct key,
+  // one wire message per destination owner.
 
   /// Append the primary-index put for `t` to `items` without sending.
   /// `replicas` copies are placed when the batch ships (0 = the DHT's
@@ -131,21 +114,6 @@ class QueryProcessor {
   size_t MakePublishItemRaw(const std::string& ns, std::string key,
                             std::string value, TimeUs lifetime,
                             std::vector<DhtPutItem>* items, int replicas = 0);
-
-  /// Append a secondary-index entry for `t` to `items`; a tuple without the
-  /// indexed attribute contributes nothing (sparse indexes).
-  void MakeSecondaryItem(const std::string& index_table,
-                         const std::string& index_attr,
-                         const std::string& base_table,
-                         const std::vector<std::string>& base_key_attrs,
-                         const Tuple& t, TimeUs lifetime,
-                         std::vector<DhtPutItem>* items, int replicas = 0);
-
-  /// Ship pre-built items as one DHT batch. `done` (optional) receives the
-  /// per-destination-group outcome, so partial failures name exactly which
-  /// items were dropped instead of collapsing into one error.
-  void PublishBatch(std::vector<DhtPutItem> items,
-                    Dht::BatchCallback done = nullptr);
 
   /// Publish into a PHT range index keyed by integer column `key_attr`.
   /// lifetime 0 uses the default.

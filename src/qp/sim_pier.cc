@@ -1,10 +1,6 @@
 #include "qp/sim_pier.h"
 
-#include <algorithm>
-
 #include "obs/node_metrics.h"
-#include "overlay/routing_chord.h"
-#include "overlay/routing_prefix.h"
 #include "util/logging.h"
 
 namespace pier {
@@ -42,12 +38,12 @@ SimPier::SimPier(uint32_t n, Options options)
     EventLoop* loop = harness_.loop();
     qp(i)->set_publish_observer(
         [this, loop](const std::string& ns,
-                     const std::vector<std::string>& key_attrs, const Tuple& t,
-                     size_t bytes) {
+                     const std::vector<std::string>& key_attrs,
+                     const TupleBatch& batch, size_t row, size_t bytes) {
           if (IsQueryScopedNamespace(ns) || ns == kSysStatsTable ||
               ns == kSysMetricsTable)
             return;
-          stats_.Observe(ns, t, key_attrs, bytes, loop->now());
+          stats_.Observe(ns, batch, row, key_attrs, bytes, loop->now());
         });
   }
   if (options_.seed_routing) {
@@ -89,29 +85,7 @@ PierClient* SimPier::client(uint32_t index) {
 }
 
 void SimPier::SeedAll() {
-  std::vector<ChordProtocol::Peer> ring;
-  for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
-    if (!harness_.IsAlive(i)) continue;
-    Dht* d = dht(i);
-    ring.push_back(ChordProtocol::Peer{d->local_id(), d->local_address()});
-  }
-  std::sort(ring.begin(), ring.end(),
-            [](const ChordProtocol::Peer& a, const ChordProtocol::Peer& b) {
-              return a.id < b.id;
-            });
-  for (uint32_t i = 0; i < harness_.num_nodes(); ++i) {
-    if (!harness_.IsAlive(i)) continue;
-    RoutingProtocol* proto = dht(i)->router()->protocol();
-    if (auto* chord = dynamic_cast<ChordProtocol*>(proto)) {
-      chord->SeedRoutingState(ring);
-    } else if (auto* prefix = dynamic_cast<PrefixProtocol*>(proto)) {
-      std::vector<PrefixProtocol::Peer> pring;
-      pring.reserve(ring.size());
-      for (const auto& p : ring)
-        pring.push_back(PrefixProtocol::Peer{p.id, p.addr});
-      prefix->SeedRoutingState(pring);
-    }
-  }
+  SeedRoutingState(&harness_, [this](uint32_t i) { return dht(i); });
 }
 
 }  // namespace pier

@@ -56,14 +56,6 @@ double Rng::NextDouble() {
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
-double Rng::Exponential(double mean) {
-  assert(mean > 0);
-  double u = NextDouble();
-  // Guard against log(0).
-  if (u <= 0) u = 0x1.0p-53;
-  return -mean * std::log(u);
-}
-
 Rng Rng::Fork() { return Rng(Next()); }
 
 ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n) {

@@ -32,9 +32,6 @@ class Rng {
   /// True with probability p.
   bool Bernoulli(double p);
 
-  /// Exponentially distributed with the given mean (> 0).
-  double Exponential(double mean);
-
   /// Fork an independent stream (stable given call order).
   Rng Fork();
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <set>
 
+#include "obs/node_metrics.h"
 #include "qp/sim_pier.h"
 
 namespace pier {
@@ -635,6 +636,68 @@ TEST(PublishBatchTest, DisablingBatchingFlushesTheBacklog) {
   c->SetPublishBatching(0, 0);  // off — must not strand the buffered tuple
   net.RunFor(3 * kSecond);
   EXPECT_EQ(StoredObjects(&net, "t"), before + 1);
+}
+
+/// The node owning the primary-index partition of `k` in table "pf".
+int PrimaryOwnerOf(SimPier* net, int64_t k) {
+  Tuple t("pf");
+  t.Append("k", Value::Int64(k));
+  Id id = RoutingId("pf", t.PartitionKey({"k"}));
+  for (uint32_t i = 0; i < net->size(); ++i) {
+    if (net->dht(i)->router()->protocol()->IsOwner(id))
+      return static_cast<int>(i);
+  }
+  return -1;
+}
+
+/// The client's exported counter `name`, read through a registry.
+double CounterValue(const MetricsRegistry& reg, const std::string& name) {
+  for (const MetricSample& s : reg.Snapshot()) {
+    if (s.name == name) return s.value;
+  }
+  return -1;
+}
+
+TEST(PublishFailuresTest, UnreachableOwnerIsCountedOnBothPublishPaths) {
+  SimPier net(16, PierOptions(77));
+  ASSERT_TRUE(
+      net.catalog()->Register(TableSpec("pf").PartitionBy({"k"})).ok());
+  // Routing is seeded; then the owner of key `dead_k` dies, so every index
+  // entry bound for it is lost, while `live_k`'s owner stays up.
+  int64_t dead_k = 0;
+  int victim = PrimaryOwnerOf(&net, dead_k);
+  ASSERT_GT(victim, 0);
+  int64_t live_k = 1;
+  while (PrimaryOwnerOf(&net, live_k) == victim) live_k++;
+  uint32_t sender = 0;
+  while (static_cast<int>(sender) == victim ||
+         static_cast<int>(sender) == PrimaryOwnerOf(&net, live_k))
+    sender++;
+  PierClient* c = net.client(sender);
+  MetricsRegistry reg;
+  RegisterClientMetrics(&reg, c);
+  net.harness()->FailNode(static_cast<uint32_t>(victim));
+
+  auto row = [](int64_t k) {
+    Tuple t("pf");
+    t.Append("k", Value::Int64(k));
+    return t;
+  };
+  // Both publishes leave before the ring routes around the dead owner.
+  // Batching off, one Publish is a batch of one, and its loss is counted;
+  // the explicit batch partially fails and counts only its lost entry.
+  ASSERT_TRUE(c->Publish("pf", row(dead_k)).ok());
+  ASSERT_TRUE(c->PublishBatch("pf", {row(dead_k), row(live_k)}).ok());
+  // Give the lookups and the transport time to give up on the dead owner.
+  net.RunFor(60 * kSecond);
+  EXPECT_EQ(c->publish_failures().failed_batches, 2u);
+  EXPECT_EQ(c->publish_failures().dropped_items, 2u);
+  EXPECT_EQ(c->publish_failures().degraded_items, 0u);
+  EXPECT_FALSE(c->publish_failures().last_error.ok());
+  EXPECT_EQ(CounterValue(reg, "pier_client_failed_batches_total"), 2);
+  EXPECT_EQ(CounterValue(reg, "pier_client_dropped_items_total"), 2);
+  EXPECT_EQ(CounterValue(reg, "pier_client_degraded_items_total"), 0);
+  EXPECT_EQ(StoredObjects(&net, "pf"), 1u) << "the live owner's entry landed";
 }
 
 TEST(PierClient, ReplanModeIsValidated) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "data/tuple.h"
+#include "data/tuple_batch.h"
 #include "data/value.h"
 #include "qp/expr.h"
 #include "util/random.h"
@@ -163,6 +164,49 @@ TEST_P(TupleRoundTrip, RandomTuple) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TupleRoundTrip, ::testing::Range<uint64_t>(1, 26));
+
+/// A batch row and the Tuple it materializes to must hash and key alike:
+/// statistics accrue from batch rows on the operator path and from Tuples
+/// on the client path into one sketch.
+TEST(TupleBatch, RowHashAndPartitionKeyMatchTheRowTuple) {
+  auto schema = std::make_shared<BatchSchema>();
+  schema->table = "mixed";
+  schema->columns = {"n", "b", "i", "d", "f", "s", "y"};
+  TupleBatchBuilder builder(schema);
+  for (int r = 0; r < 3; ++r) {
+    builder.AppendNull();
+    builder.AppendBool(r % 2 == 0);
+    builder.AppendInt64(-7 + 1000 * r);
+    builder.AppendDouble(4.0 * r);  // integral: hashes like the equal int64
+    builder.AppendDouble(0.25 + r);
+    builder.AppendString("str" + std::to_string(r));
+    builder.AppendBytes(std::string("\x00\xff", 2) + std::to_string(r));
+  }
+  // One row through the Value path, with the types moved across columns.
+  builder.AppendValue(Value::Bool(true));
+  builder.AppendValue(Value::Null());
+  builder.AppendValue(Value::Double(1e300));
+  builder.AppendValue(Value::Int64(0));
+  builder.AppendValue(Value::Bytes("b"));
+  builder.AppendValue(Value::String(""));
+  builder.AppendValue(Value::Int64(9));
+  TupleBatch batch = builder.Finish();
+  ASSERT_EQ(batch.num_rows(), 4u);
+
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"i"}, {"s"}, {"y"}, {"b", "d"}, {"n", "f"}, {"s", "i", "y"},
+      {"absent"}, {}};
+  for (size_t r = 0; r < batch.num_rows(); ++r) {
+    Tuple t = batch.RowTuple(r);
+    EXPECT_EQ(batch.RowHash(r), t.Hash()) << "row " << r << ": " << t.ToString();
+    for (const std::vector<std::string>& keys : key_sets) {
+      EXPECT_EQ(batch.RowPartitionKey(r, keys), t.PartitionKey(keys))
+          << "row " << r << ", " << keys.size() << " key attrs";
+    }
+  }
+  // Distinct cells give distinct row hashes.
+  EXPECT_NE(batch.RowHash(0), batch.RowHash(1));
+}
 
 // ---------------------------------------------------------------------------
 // Expressions

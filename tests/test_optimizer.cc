@@ -79,7 +79,38 @@ void Seed(StatsRegistry* reg, const std::string& table, int n, int distinct,
     Tuple t(table);
     t.Append("k", Value::Int64(i % distinct));
     t.Append("pad", Value::Bytes(std::string(payload, 'x')));
-    reg->Observe(table, t, {"k"}, t.Encode().size(), (1 + i) * kSecond);
+    reg->Observe(table, TupleBatch::FromTuple(t), 0, {"k"}, t.Encode().size(),
+                 (1 + i) * kSecond);
+  }
+}
+
+TEST(Stats, BatchRowsAndTuplesAccrueAlike) {
+  // The operator path observes batch rows, the client path Tuples: the same
+  // rows must leave the same statistics, for keyed and keyless tables.
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 40; ++i) {
+    Tuple t("t");
+    t.Append("k", Value::Int64(i % 13));
+    t.Append("v", Value::String(std::string(static_cast<size_t>(i % 5), 'v')));
+    tuples.push_back(std::move(t));
+  }
+  TupleBatch batch = TupleBatch::FromTuples(tuples);
+  for (const std::vector<std::string>& keys :
+       {std::vector<std::string>{"k"}, std::vector<std::string>{}}) {
+    StatsRegistry by_row, by_tuple;
+    std::vector<size_t> bytes;
+    for (size_t r = 0; r < tuples.size(); ++r) {
+      bytes.push_back(tuples[r].Encode().size());
+      by_row.Observe("t", batch, r, keys, bytes[r], kSecond);
+    }
+    by_tuple.ObserveBatch("t", tuples.data(), tuples.size(), keys, bytes,
+                          kSecond);
+    TableStats a = by_row.Snapshot("t"), b = by_tuple.Snapshot("t");
+    EXPECT_EQ(a.tuples, 40u);
+    EXPECT_EQ(a.tuples, b.tuples);
+    EXPECT_DOUBLE_EQ(a.mean_bytes, b.mean_bytes);
+    EXPECT_DOUBLE_EQ(a.distinct, b.distinct);
+    EXPECT_DOUBLE_EQ(a.distinct, keys.empty() ? 40.0 : 13.0);
   }
 }
 
